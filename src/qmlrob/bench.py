@@ -168,12 +168,29 @@ _SECTION_KEYS = {
 _TOP_KEYS = {"data", "model", "mode", "attack", "defense", "train", "seeds", "out_dir", "train_mode", "sweep"}
 
 
-def _check_keys(section: str, payload: dict) -> None:
+def _check_keys(section: str, payload: dict, required: tuple[str, ...] = ()) -> None:
     if not isinstance(payload, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
     unknown = set(payload) - _SECTION_KEYS[section]
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+    missing = [k for k in required if k not in payload]
+    if missing:
+        raise ConfigError(f"section {section!r} requires {missing}")
+
+
+def _parse_channels(raw) -> tuple[tuple[str, float], ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError("mode.channels must be a list")
+    out = []
+    for ch in raw:
+        if not isinstance(ch, dict) or "kind" not in ch or "p" not in ch:
+            raise ConfigError(f"each noise channel needs 'kind' and 'p', got {ch!r}")
+        p = ch["p"]
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ConfigError(f"noise channel 'p' must be a number, got {p!r}")
+        out.append((ch["kind"], float(p)))
+    return tuple(out)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -185,12 +202,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "data" not in raw or "model" not in raw:
         raise ConfigError("config requires 'data' and 'model' sections")
 
-    _check_keys("data", raw["data"])
+    _check_keys("data", raw["data"], required=("kind",))
     data = DataConfig(**raw["data"])
     if data.kind not in ("blobs", "mnist", "csv"):
         raise ConfigError(f"unknown dataset kind {data.kind!r}")
 
-    _check_keys("model", raw["model"])
+    _check_keys("model", raw["model"], required=("kind",))
     mraw = dict(raw["model"])
     if "input_range" in mraw and mraw["input_range"] is not None:
         mraw["input_range"] = tuple(float(v) for v in mraw["input_range"])
@@ -204,9 +221,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "mode" in raw:
         _check_keys("mode", raw["mode"])
         mode_raw = dict(raw["mode"])
-        channels = tuple(
-            (ch["kind"], float(ch["p"])) for ch in mode_raw.get("channels", ())
-        )
+        channels = _parse_channels(mode_raw.get("channels", ()))
         mode = ModeConfig(kind=mode_raw.get("kind", "pure"), channels=channels)
         if mode.kind not in ("pure", "mixed"):
             raise ConfigError(f"unknown mode {mode.kind!r}")

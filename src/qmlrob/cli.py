@@ -70,26 +70,45 @@ def _run_single(config: bench.ExperimentConfig, fmt: str) -> None:
         print(p)
 
 
-def _cmd_baseline(args) -> None:
-    config, _ = _load(args)
-    if config.attack is not None or config.defense is not None:
-        raise ConfigError("baseline runs take no attack or defense section")
-    _run_single(config, args.format)
+def subcommand_for(raw: dict) -> str:
+    """The subcommand a config's sections call for: ``sweep``, then
+    ``defend`` (attack plus defense), then ``attack``, then ``baseline``."""
+    if raw.get("sweep"):
+        return "sweep"
+    if raw.get("attack") is not None:
+        return "defend" if raw.get("defense") is not None else "attack"
+    return "baseline"
 
 
-def _cmd_attack(args) -> None:
-    config, _ = _load(args)
-    if config.attack is None:
-        raise ConfigError("attack runs need an attack section")
-    if config.defense is not None:
-        raise ConfigError("use the defend subcommand for defended runs")
-    _run_single(config, args.format)
+def check_sections(command: str, config: bench.ExperimentConfig, raw: dict) -> None:
+    """Raise ConfigError unless the config has the sections ``command`` needs."""
+    if command == "baseline":
+        if config.attack is not None or config.defense is not None:
+            raise ConfigError("baseline runs take no attack or defense section")
+    elif command == "attack":
+        if config.attack is None:
+            raise ConfigError("attack runs need an attack section")
+        if config.defense is not None:
+            raise ConfigError("use the defend subcommand for defended runs")
+    elif command == "defend":
+        if config.attack is None or config.defense is None:
+            raise ConfigError("defend runs need both attack and defense sections")
+    elif command == "sweep":
+        axes = raw.get("sweep")
+        if not axes or not isinstance(axes, dict):
+            raise ConfigError("sweep runs need a 'sweep' mapping of dotted keys to value lists")
+        layers = axes.get("model.layers")
+        if layers is not None and raw.get("model", {}).get("kind") == "qmlp":
+            bad = set(layers) - set(QMLP_SWEEP_LAYERS)
+            if bad:
+                raise ConfigError(
+                    f"qmlp depth sweeps are restricted to {QMLP_SWEEP_LAYERS}, got {sorted(bad)}"
+                )
 
 
-def _cmd_defend(args) -> None:
-    config, _ = _load(args)
-    if config.attack is None or config.defense is None:
-        raise ConfigError("defend runs need both attack and defense sections")
+def _cmd_single(args) -> None:
+    config, raw = _load(args)
+    check_sections(args.command, config, raw)
     _run_single(config, args.format)
 
 
@@ -103,17 +122,9 @@ def _set_dotted(raw: dict, key: str, value):
 
 def _cmd_sweep(args) -> None:
     config, raw = _load(args)
-    axes = raw.get("sweep")
-    if not axes:
-        raise ConfigError("sweep runs need a 'sweep' mapping of dotted keys to value lists")
+    check_sections("sweep", config, raw)
+    axes = raw["sweep"]
     keys = sorted(axes)
-    for key in keys:
-        if key == "model.layers" and raw.get("model", {}).get("kind") == "qmlp":
-            bad = set(axes[key]) - set(QMLP_SWEEP_LAYERS)
-            if bad:
-                raise ConfigError(
-                    f"qmlp depth sweeps are restricted to {QMLP_SWEEP_LAYERS}, got {sorted(bad)}"
-                )
     base_out = Path(args.out) if args.out else Path(config.out_dir)
     for values in itertools.product(*(axes[k] for k in keys)):
         cell_raw = {k: v for k, v in raw.items() if k != "sweep"}
@@ -160,9 +171,9 @@ def _cmd_report(args) -> None:
 
 
 _COMMANDS = {
-    "baseline": _cmd_baseline,
-    "attack": _cmd_attack,
-    "defend": _cmd_defend,
+    "baseline": _cmd_single,
+    "attack": _cmd_single,
+    "defend": _cmd_single,
     "sweep": _cmd_sweep,
     "report": _cmd_report,
 }

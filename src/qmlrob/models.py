@@ -222,6 +222,13 @@ def _instr_matrix(ins: _Instr) -> np.ndarray:
     return GateOp(ins.kind, ins.targets).base_matrix()
 
 
+def _instr_unitary(ins: _Instr) -> np.ndarray:
+    """Local unitary of ``ins`` in ``sim.gate_unitary``'s convention; one per
+    sample for encoding gates."""
+    mat = _instr_matrix(ins)
+    return mat if len(ins.targets) == 1 else sim.controlled_unitary(mat)
+
+
 def _apply_instr(amps: np.ndarray, ins: _Instr, dagger: bool = False) -> np.ndarray:
     mat = _instr_matrix(ins)
     if dagger:
@@ -232,6 +239,7 @@ def _apply_instr(amps: np.ndarray, ins: _Instr, dagger: bool = False) -> np.ndar
 
 
 def _apply_instr_dm(dm: np.ndarray, ins: _Instr) -> np.ndarray:
+    """Per-gate density-matrix pass: the reference for the fused noisy path."""
     mat = _instr_matrix(ins)
     conj = np.conj(mat)
     if len(ins.targets) == 1:
@@ -419,10 +427,8 @@ def quantum_features(
         raise ValueError(f"unknown mode {mode!r}")
     dm = np.einsum("bi,bj->bij", init, init.conj())
     for ins in instrs:
-        dm = _apply_instr_dm(dm, ins)
-        for q in ins.targets:
-            for ch in noise:
-                dm = sim.apply_channel_entries(dm, ch, q)
+        s = sim.local_superop(_instr_unitary(ins), noise)
+        dm = sim.apply_local_superop(dm, s, ins.targets)
     diag = np.einsum("bii->bi", dm).real
     return diag @ zd.T
 

@@ -5,11 +5,24 @@ Basis convention: computational basis index ``i`` encodes qubit ``q`` in bit
 the trailing axis (statevectors) or trailing two axes (density matrices), so
 arbitrary leading batch dimensions are supported.
 
+Local operators on a gate's targets use a local index in which the first
+target is the high bit: for (control, target) the control is bit 1 and the
+target bit 0, so a controlled gate is ``diag(I, U)``.
+
+The noisy path applies each gate together with its noise channels as one
+Liouville superoperator on those targets (Greenbaum, arXiv:1509.02921). With
+``d = 2**k`` for ``k`` targets, it is a ``d*d x d*d`` matrix ``S`` acting on
+the row-major vectorised local density matrix, ``vec(rho)[i*d + j] =
+rho[i, j]``, so ``rho'[i, j] = sum_{k, l} S[i*d + j, k*d + l] rho[k, l]``. A
+unitary contributes ``kron(U, conj(U))``; channels multiply it from the left
+in the order they act.
+
 Measurement is an exact expectation value; there is no shot sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -89,15 +102,22 @@ class GateOp:
         raise AssertionError(self.kind)
 
 
+def controlled_unitary(mat: np.ndarray) -> np.ndarray:
+    """4x4 controlled versions ``diag(I, mat)`` of a 2x2 matrix or a
+    ``[..., 2, 2]`` stack: control in bit 1, target in bit 0."""
+    u = np.zeros(mat.shape[:-2] + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = 1.0
+    u[..., 2:, 2:] = mat
+    return u
+
+
 def gate_unitary(op: GateOp) -> np.ndarray:
     """Full unitary realized by ``op``: 2x2, or 4x4 on (control, target) with
     the control in bit 1 and the target in bit 0 of the local index."""
     m = op.base_matrix()
     if op.kind in SINGLE_QUBIT_GATES:
         return m
-    u = np.eye(4, dtype=complex)
-    u[2:, 2:] = m
-    return u
+    return controlled_unitary(m)
 
 
 @dataclass(frozen=True)
@@ -290,38 +310,13 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(state.n_qubits, apply_gate_amps(state.amplitudes, gate))
 
 
-# ---------------------------------------------------------------------------
-# Density-matrix kernels: rho -> U rho U(dagger) as two strided passes, one
-# over the row index with U and one over the column index with conj(U).
-# ---------------------------------------------------------------------------
-
-
-def _apply_rows(dm: np.ndarray, mat: np.ndarray, target: int) -> np.ndarray:
-    return np.swapaxes(apply_1q(np.swapaxes(dm, -1, -2), mat, target), -1, -2)
-
-
-def _apply_cols_conj(dm: np.ndarray, mat: np.ndarray, target: int) -> np.ndarray:
-    return apply_1q(dm, mat.conj(), target)
-
-
-def apply_gate_dm_entries(dm: np.ndarray, op: GateOp) -> np.ndarray:
-    mat = op.base_matrix()
-    if op.kind in SINGLE_QUBIT_GATES:
-        t = op.targets[0]
-        return _apply_cols_conj(_apply_rows(dm, mat, t), mat, t)
-    c, t = op.targets
-    out = np.swapaxes(
-        apply_controlled_1q(np.swapaxes(dm, -1, -2), mat, c, t), -1, -2
-    )
-    return apply_controlled_1q(out, mat.conj(), c, t)
-
-
 def apply_gate_dm(dm: DensityMatrix, gate: GateOp) -> DensityMatrix:
     """Conjugate a density matrix by one gate; returns a new matrix."""
     for t in gate.targets:
         if not 0 <= t < dm.n_qubits:
             raise ValueError(f"target {t} out of range for {dm.n_qubits} qubits")
-    return DensityMatrix(dm.n_qubits, apply_gate_dm_entries(dm.entries, gate))
+    s = local_superop(gate_unitary(gate))
+    return DensityMatrix(dm.n_qubits, apply_local_superop(dm.entries, s, gate.targets))
 
 
 _SUPEROP_CACHE: dict[tuple[str, float], np.ndarray] = {}
@@ -354,6 +349,73 @@ def apply_channel(dm: DensityMatrix, channel: KrausChannel, qubit: int) -> Densi
     if not 0 <= qubit < dm.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {dm.n_qubits} qubits")
     return DensityMatrix(dm.n_qubits, apply_channel_entries(dm.entries, channel, qubit))
+
+
+# ---------------------------------------------------------------------------
+# Fused local superoperators: a gate and the noise after it as one matmul on
+# the density matrix (layout in the module docstring).
+# ---------------------------------------------------------------------------
+
+_NOISE_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _noise_superop(noise: tuple[KrausChannel, ...], n_targets: int) -> np.ndarray:
+    """Superoperator of every channel of ``noise`` on the first target, then
+    every channel on the second, built once per noise tuple by applying the
+    channels to each local basis matrix."""
+    key = (n_targets, tuple((ch.kind, ch.param) for ch in noise))
+    s = _NOISE_SUPEROP_CACHE.get(key)
+    if s is None:
+        d = 1 << n_targets
+        images = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        for q in reversed(range(n_targets)):  # the first target is the high bit
+            for ch in noise:
+                images = apply_channel_entries(images, ch, q)
+        s = np.ascontiguousarray(images.reshape(d * d, d * d).T)
+        s.flags.writeable = False
+        _NOISE_SUPEROP_CACHE[key] = s
+    return s
+
+
+def local_superop(u: np.ndarray, noise: tuple[KrausChannel, ...] = ()) -> np.ndarray:
+    """Superoperator of the 1- or 2-qubit unitary ``u`` (``[d, d]`` or a
+    batch ``[B, d, d]``) followed by ``noise`` on each of its targets:
+    ``[d*d, d*d]`` or ``[B, d*d, d*d]``."""
+    d = u.shape[-1]
+    s = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
+        u.shape[:-2] + (d * d, d * d)
+    )
+    if noise:
+        s = _noise_superop(noise, d.bit_length() - 1) @ s
+    return s
+
+
+@functools.lru_cache(maxsize=None)
+def _superop_perm(n_qubits: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order of a ``[B] + [2] * 2n`` density matrix that puts the other
+    qubits' row and column bits first, then the targets' row bits, then their
+    column bits (qubit q's row bit is axis n - q); and its inverse."""
+    rows = [n_qubits - t for t in targets]
+    cols = [r + n_qubits for r in rows]
+    rest = [a for a in range(1, 2 * n_qubits + 1) if a not in rows and a not in cols]
+    perm = tuple([0] + rest + rows + cols)
+    return perm, tuple(int(a) for a in np.argsort(perm))
+
+
+def apply_local_superop(dm: np.ndarray, s: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Apply a local superoperator ``s`` (shared, or one per sample of a
+    ``[B, D, D]`` batch) to ``targets`` of a density matrix."""
+    shape = dm.shape
+    n = shape[-1].bit_length() - 1
+    perm, inverse = _superop_perm(n, targets)
+    x = dm.reshape((-1,) + (2,) * (2 * n)).transpose(perm)
+    tshape = x.shape
+    dd = s.shape[-1]
+    if s.ndim == 2:
+        y = x.reshape(-1, dd) @ s.T
+    else:
+        y = x.reshape(tshape[0], -1, dd) @ np.swapaxes(s, -1, -2)
+    return y.reshape(tshape).transpose(inverse).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +483,7 @@ def run_circuit_dm(circuit: CircuitSpec, dm: np.ndarray | None = None) -> np.nda
         else:
             dm = pure_to_dm(zero_state(circuit.n_qubits)).entries.copy()
     for op in circuit.ops:
-        dm = apply_gate_dm_entries(dm, op)
-        for q in op.targets:
-            for ch in circuit.noise:
-                dm = apply_channel_entries(dm, ch, q)
+        dm = apply_local_superop(dm, local_superop(gate_unitary(op), circuit.noise), op.targets)
     return dm
 
 

@@ -20,6 +20,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class NonFiniteLossError(ValueError):
+    """A training batch produced a NaN or infinite loss."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.001
@@ -35,6 +39,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
         if self.optimizer not in ("auto", "adam", "spsa"):
@@ -238,8 +248,13 @@ def train_epoch(
             new_params = tree_map(
                 lambda p, g: p - config.spsa_step * g, model.params, grads
             )
+        batch_loss = float(np.dot(w, losses))
+        if not np.isfinite(batch_loss):
+            raise NonFiniteLossError(
+                f"non-finite loss {batch_loss} in batch {start // config.batch_size}"
+            )
         model = models.replace_params(model, new_params)
-        total_loss += float(np.dot(w, losses))
+        total_loss += batch_loss
         total_weight += wsum
     stats = {"train_loss": total_loss / total_weight if total_weight else float("nan")}
     return model, stats
@@ -271,18 +286,21 @@ def fit(
     history = []
     lines = []
     for epoch in range(config.epochs):
-        model, stats = train_epoch(
-            model,
-            train_ds,
-            weights,
-            config,
-            mode,
-            noise,
-            opt_state=opt_state,
-            shuffle_rng=shuffle_rng,
-            spsa_rng=spsa_rng,
-            n_classes=n_classes,
-        )
+        try:
+            model, stats = train_epoch(
+                model,
+                train_ds,
+                weights,
+                config,
+                mode,
+                noise,
+                opt_state=opt_state,
+                shuffle_rng=shuffle_rng,
+                spsa_rng=spsa_rng,
+                n_classes=n_classes,
+            )
+        except NonFiniteLossError as exc:
+            raise NonFiniteLossError(f"epoch {epoch}: {exc}") from None
         if test_ds is not None:
             stats["test_acc"] = evaluate(model, test_ds).accuracy
         history.append(stats)

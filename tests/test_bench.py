@@ -1,5 +1,6 @@
 """Experiment runner, report emission, and the CLI."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 import qmlrob
-from qmlrob import bench
+from qmlrob import bench, cli
 from qmlrob.bench import (
     ConfigError,
     ExperimentReport,
@@ -104,6 +105,27 @@ class TestConfigParsing:
             mode={"kind": "pure", "channels": [{"kind": "depolarizing", "p": 0.01}]}
         )
         with pytest.raises(ConfigError, match="pure mode"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            [{"kind": "depolarizing"}],
+            [{"p": 0.01}],
+            ["depolarizing"],
+            [{"kind": "depolarizing", "p": "high"}],
+            {"kind": "depolarizing", "p": 0.01},
+        ],
+    )
+    def test_malformed_channels_rejected(self, channels):
+        with pytest.raises(ConfigError, match="channel"):
+            parse_config(base_raw(mode={"kind": "mixed", "channels": channels}))
+
+    @pytest.mark.parametrize("section", ["data", "model"])
+    def test_section_kind_required(self, section):
+        raw = base_raw()
+        del raw[section]["kind"]
+        with pytest.raises(ConfigError, match="kind"):
             parse_config(raw)
 
     def test_round_trip_of_valid_config(self):
@@ -334,7 +356,66 @@ class TestCli:
         assert result.returncode == 0
         assert "medians" in result.stdout
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw.update(mode={"kind": "mixed", "channels": [{"kind": "depolarizing"}]}),
+            lambda raw: raw["data"].pop("kind"),
+            lambda raw: raw["train"].update(batch_size=0),
+        ],
+        ids=["channel_without_p", "data_without_kind", "zero_batch_size"],
+    )
+    def test_malformed_config_gives_one_error_line(self, tmp_path, edit):
+        raw = base_raw(out_dir=str(tmp_path / "out"), seeds=[0])
+        edit(raw)
+        result = run_cli(["baseline", "--config", str(self.write_config(tmp_path, raw))], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert "range()" not in result.stderr
+
     def test_missing_config_file_fails_cleanly(self, tmp_path):
         result = run_cli(["baseline", "--config", str(tmp_path / "nope.yaml")], tmp_path)
         assert result.returncode == 1
         assert "error:" in result.stderr
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_run_all_configs():
+    path = REPO / "scripts" / "run_all_configs.py"
+    spec = importlib.util.spec_from_file_location("run_all_configs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunAllConfigs:
+    def test_every_shipped_config_gets_a_subcommand_it_passes(self):
+        plan = load_run_all_configs().plan()
+        assert sorted(p.name for _, p in plan) == sorted(
+            p.name for p in (REPO / "configs").glob("*.yaml")
+        )
+        for sub, path in plan:
+            raw = yaml.safe_load(path.read_text())
+            config = parse_config({k: v for k, v in raw.items() if k != "sweep"})
+            cli.check_sections(sub, config, raw)
+        chosen = {p.name: sub for sub, p in plan}
+        assert chosen["malware_shape.yaml"] == "baseline"
+        assert chosen["depth_sweep.yaml"] == "sweep"
+        assert chosen["quid_defended.yaml"] == "defend"
+        assert chosen["fgsm.yaml"] == "attack"
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            ({"sweep": {"model.layers": [2]}, "attack": {"kind": "fgsm"}}, "sweep"),
+            ({"attack": {"kind": "quid"}, "defense": {}}, "defend"),
+            ({"attack": {"kind": "fgsm"}}, "attack"),
+            ({"data": {"kind": "blobs"}}, "baseline"),
+        ],
+    )
+    def test_subcommand_precedence(self, raw, want):
+        assert cli.subcommand_for(raw) == want

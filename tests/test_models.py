@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmlrob import models
+from qmlrob import models, sim
 from qmlrob.encoding import EncodingSpec
 from qmlrob.models import (
     CmlpConfig,
@@ -32,7 +32,7 @@ from qmlrob.models import (
     spsa_grad,
     unflatten_params,
 )
-from qmlrob.sim import make_depolarizing
+from qmlrob.sim import make_amplitude_damping, make_depolarizing
 from qmlrob.training import ce_with_grad, cross_entropy_batch
 
 ANGLE4 = EncodingSpec("angle", 4, (0.0, math.pi))
@@ -199,6 +199,54 @@ class TestForward:
             zp = models.quantum_features(m, x[None, :], "pure")
             zm = models.quantum_features(m, x[None, :], "mixed")
             assert np.max(np.abs(zp - zm)) < 1e-9
+
+
+def per_gate_mixed_features(model, X, noise):
+    """Reference noisy forward: each gate as two strided passes, then every
+    channel on the first target and every channel on the second."""
+    instrs, init = models._program(model, X)
+    dm = np.einsum("bi,bj->bij", init, init.conj())
+    for ins in instrs:
+        dm = models._apply_instr_dm(dm, ins)
+        for q in ins.targets:
+            for ch in noise:
+                dm = sim.apply_channel_entries(dm, ch, q)
+    return np.einsum("bii->bi", dm).real @ models._z_diags(model.config.n_qubits).T
+
+
+NOISE_TUPLES = [
+    (),
+    (make_depolarizing(0.05),),
+    (make_amplitude_damping(0.1), make_depolarizing(0.05)),
+    (make_depolarizing(0.05), make_amplitude_damping(0.1)),
+]
+
+
+class TestFusedMixedForward:
+    @pytest.mark.parametrize("noise", NOISE_TUPLES)
+    @pytest.mark.parametrize("kind", ["angle", "amplitude"])
+    def test_qmlp_matches_per_gate_loop(self, kind, noise):
+        m = make_qmlp(layers=3, n=3, n_classes=3, kind=kind, seed=11)
+        X = np.random.default_rng(1).uniform(0.1, 1.0, size=(4, 3))
+        instrs, _ = models._program(m, X)
+        assert any(i.kind == "CRX" and i.targets[0] > i.targets[1] for i in instrs)
+        got = models.quantum_features(m, X, "mixed", noise)
+        assert np.max(np.abs(got - per_gate_mixed_features(m, X, noise))) < 1e-12
+
+    @pytest.mark.parametrize("noise", NOISE_TUPLES)
+    def test_qnn_matches_per_gate_loop(self, noise):
+        m = init_pqc6(Pqc6Config(n_qubits=3, layers=2, n_classes=3), np.random.default_rng(12))
+        X = np.random.default_rng(2).uniform(-math.pi, math.pi, size=(3, 6))
+        got = models.quantum_features(m, X, "mixed", noise)
+        assert np.max(np.abs(got - per_gate_mixed_features(m, X, noise))) < 1e-12
+
+    def test_damping_order_is_visible(self):
+        # Damping and depolarizing do not commute, so the two orders differ.
+        m = make_qmlp(layers=2, n=3, n_classes=3, seed=13)
+        X = np.random.default_rng(3).uniform(0.1, 1.0, size=(3, 3))
+        a = models.quantum_features(m, X, "mixed", NOISE_TUPLES[2])
+        b = models.quantum_features(m, X, "mixed", NOISE_TUPLES[3])
+        assert np.max(np.abs(a - b)) > 1e-6
 
 
 class TestGradients:

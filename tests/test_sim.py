@@ -347,6 +347,92 @@ class TestRandomCircuitInvariants:
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
 
+def embed_local(a: np.ndarray, targets, n: int) -> np.ndarray:
+    """Dense 2**n operator acting as ``a`` on ``targets`` (first target the
+    high local bit) and as the identity elsewhere, built entry by entry."""
+    dim = 2**n
+    full = np.zeros((dim, dim), dtype=complex)
+    others = [q for q in range(n) if q not in targets]
+
+    def local(i):
+        return sum(((i >> t) & 1) << (len(targets) - 1 - k) for k, t in enumerate(targets))
+
+    for i in range(dim):
+        for j in range(dim):
+            if all(((i >> q) & 1) == ((j >> q) & 1) for q in others):
+                full[i, j] = a[local(i), local(j)]
+    return full
+
+
+class TestLocalSuperop:
+    N = 5
+
+    def random_terms(self, rng, d, k=3):
+        return [
+            (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+             rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            for _ in range(k)
+        ]
+
+    def check(self, rng, targets):
+        # S = sum_m kron(A_m, conj(B_m)) maps rho to sum_m A_m rho B_m^dagger.
+        n, d = self.N, 2 ** len(targets)
+        dm = rng.normal(size=(3, 2**n, 2**n)) + 1j * rng.normal(size=(3, 2**n, 2**n))
+        shared = self.random_terms(rng, d)
+        per_sample = [self.random_terms(rng, d) for _ in range(3)]
+
+        def superop(terms):
+            return sum(np.kron(a, b.conj()) for a, b in terms)
+
+        def dense(rho, terms):
+            return sum(
+                embed_local(a, targets, n) @ rho @ embed_local(b, targets, n).conj().T
+                for a, b in terms
+            )
+
+        out = sim.apply_local_superop(dm, superop(shared), targets)
+        want = np.stack([dense(r, shared) for r in dm])
+        assert np.max(np.abs(out - want)) < 1e-12
+        s = np.stack([superop(t) for t in per_sample])
+        out = sim.apply_local_superop(dm, s, targets)
+        want = np.stack([dense(r, t) for r, t in zip(dm, per_sample)])
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    def test_every_single_target(self):
+        rng = np.random.default_rng(21)
+        for t in range(self.N):
+            self.check(rng, (t,))
+
+    def test_every_ordered_pair(self):
+        rng = np.random.default_rng(22)
+        for c in range(self.N):
+            for t in range(self.N):
+                if c != t:
+                    self.check(rng, (c, t))
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            (),
+            (make_depolarizing(0.1),),
+            (make_amplitude_damping(0.2), make_depolarizing(0.1)),
+            (make_depolarizing(0.1), make_amplitude_damping(0.2)),
+        ],
+    )
+    def test_noise_follows_gate_on_first_then_second_target(self, noise):
+        rng = np.random.default_rng(23)
+        n = 3
+        dm = pure_to_dm(run_circuit(random_circuit(rng, n, 6), "pure")).entries
+        for op in (GateOp("RY", (2,), 0.7), GateOp("CRX", (2, 0), 1.3), GateOp("CX", (0, 1))):
+            want = dense_unitary(op, n) @ dm @ dense_unitary(op, n).conj().T
+            for q in op.targets:
+                for ch in noise:
+                    want = dense_channel(want, ch, q, n)
+            s = sim.local_superop(gate_unitary(op), noise)
+            out = sim.apply_local_superop(dm, s, op.targets)
+            assert np.max(np.abs(out - want)) < 1e-12
+
+
 class TestValidation:
     def test_statevector_norm_validation(self):
         with pytest.raises(ValueError):

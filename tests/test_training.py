@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmlrob.datasets import Dataset, synth_blobs
+from qmlrob.encoding import EncodingSpec
 from qmlrob.models import (
     CmlpConfig,
     CmlpParams,
     CmlpModel,
+    QmlpConfig,
     flatten_params,
     init_cmlp,
+    init_qmlp,
     tree_map,
 )
+from qmlrob.sim import make_depolarizing
 from qmlrob.training import (
+    NonFiniteLossError,
     TrainConfig,
     adam_step,
     ce_with_grad,
@@ -242,10 +247,33 @@ class TestEvaluate:
             evaluate(model, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
 
+class TestNonFiniteLoss:
+    def nan_model(self):
+        enc = EncodingSpec("angle", 2, (0.0, math.pi))
+        m = init_qmlp(QmlpConfig(1, enc, 2, n_qubits=2), np.random.default_rng(0))
+        m.params.head_b[0] = np.nan
+        ds = Dataset(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), np.array([0, 1, 0]))
+        return m, ds
+
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_fit_names_epoch_and_batch(self, mode):
+        m, ds = self.nan_model()
+        noise = (make_depolarizing(0.01),) if mode == "mixed" else ()
+        with pytest.raises(NonFiniteLossError, match=r"epoch 0: .*batch 0"):
+            fit(m, ds, TrainConfig(batch_size=2, epochs=2), mode, noise, n_classes=2)
+
+
 class TestConfigValidation:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("batch_size", 0), ("epochs", -1), ("weight_decay", -0.1)]
+    )
+    def test_rejects_bad_loop_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_rejects_bad_smoothing(self):
         with pytest.raises(ValueError):
