@@ -134,10 +134,10 @@ def quid_poison(
 
 def _input_grads(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     labels = np.asarray(y, dtype=int)
-    logits = models.forward_batch(model, X)
-    n_classes = logits.shape[1]
-    dlogits = softmax(logits) - one_hot(labels, n_classes)
-    return models.grad_input_batch(model, X, dlogits)
+    _, _, dX = models.logits_and_grads(
+        model, X, lambda logits: softmax(logits) - one_hot(labels, logits.shape[1])
+    )
+    return dX
 
 
 def fgsm(model: Model, x: np.ndarray, y, eps: float, bounds) -> np.ndarray:

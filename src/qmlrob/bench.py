@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,6 +180,42 @@ def _check_keys(section: str, payload: dict, required: tuple[str, ...] = ()) -> 
         raise ConfigError(f"section {section!r} requires {missing}")
 
 
+# section -> (integer keys, real-number keys) whose values the dataclass
+# constructors compare, so a wrongly typed value must stop at parse time.
+_NUMERIC_KEYS = {
+    "train": (
+        ("batch_size", "epochs", "seed"),
+        ("lr", "weight_decay", "label_smoothing", "spsa_step", "spsa_perturb"),
+    ),
+    "attack": (("iters",), ("ratio", "eps", "step")),
+    "defense": (("sweeps", "seed"), ("wan_lr", "anneal_coeff", "keep_fraction")),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_numeric(section: str, payload: dict) -> None:
+    ints, reals = _NUMERIC_KEYS[section]
+    for key in ints:
+        if key in payload and not _is_int(payload[key]):
+            raise ConfigError(f"{section}.{key} must be an integer, got {payload[key]!r}")
+    for key in reals:
+        if key in payload and not _is_real(payload[key]):
+            raise ConfigError(f"{section}.{key} must be a number, got {payload[key]!r}")
+
+
+def _parse_seeds(raw) -> tuple[int, ...]:
+    if not isinstance(raw, (list, tuple)) or not all(_is_int(s) for s in raw):
+        raise ConfigError(f"seeds must be a list of integers, got {raw!r}")
+    return tuple(int(s) for s in raw)
+
+
 def _parse_channels(raw) -> tuple[tuple[str, float], ...]:
     if not isinstance(raw, (list, tuple)):
         raise ConfigError("mode.channels must be a list")
@@ -187,7 +224,7 @@ def _parse_channels(raw) -> tuple[tuple[str, float], ...]:
         if not isinstance(ch, dict) or "kind" not in ch or "p" not in ch:
             raise ConfigError(f"each noise channel needs 'kind' and 'p', got {ch!r}")
         p = ch["p"]
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
+        if not _is_real(p):
             raise ConfigError(f"noise channel 'p' must be a number, got {p!r}")
         out.append((ch["kind"], float(p)))
     return tuple(out)
@@ -231,11 +268,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     attack = None
     if raw.get("attack") is not None:
         _check_keys("attack", raw["attack"])
+        _check_numeric("attack", raw["attack"])
         attack = AttackConfig(**raw["attack"])
 
     defense = None
     if raw.get("defense") is not None:
         _check_keys("defense", raw["defense"])
+        _check_numeric("defense", raw["defense"])
         draw = dict(raw["defense"])
         if "beta_range" in draw:
             draw["beta_range"] = tuple(float(v) for v in draw["beta_range"])
@@ -244,9 +283,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     train = TrainConfig()
     if "train" in raw:
         _check_keys("train", raw["train"])
+        _check_numeric("train", raw["train"])
         train = TrainConfig(**raw["train"])
 
-    seeds = tuple(int(s) for s in raw.get("seeds", (0,)))
+    seeds = _parse_seeds(raw.get("seeds", (0,)))
     return ExperimentConfig(
         data=data,
         model=model,

@@ -30,6 +30,10 @@ class QDetectConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 < self.wan_lr <= 1.0:
+            raise ValueError("wan_lr must be in (0, 1]")
+        if self.anneal_coeff < 0:
+            raise ValueError("anneal_coeff must be >= 0")
         if self.beta_range[0] >= self.beta_range[1]:
             raise ValueError("beta_range must be ascending")
         if self.sweeps < 1:

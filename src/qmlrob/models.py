@@ -5,8 +5,9 @@ ring CRX entanglers), the 4-qubit dense-angle QNN with all-to-all CRX
 entanglers, and a one-hidden-layer classical MLP baseline.
 
 Quantum gradients come from an adjoint backward sweep (exact for expectation
-readouts); a parameter-shift path with the four-term rule for controlled
-rotations is kept alongside as an independent cross-check.
+readouts) that starts from the state of the one forward pass it also reads
+the logits from; a parameter-shift path with the four-term rule for
+controlled rotations is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -229,10 +230,9 @@ def _instr_unitary(ins: _Instr) -> np.ndarray:
     return mat if len(ins.targets) == 1 else sim.controlled_unitary(mat)
 
 
-def _apply_instr(amps: np.ndarray, ins: _Instr, dagger: bool = False) -> np.ndarray:
-    mat = _instr_matrix(ins)
-    if dagger:
-        mat = np.conj(np.swapaxes(mat, -1, -2))
+def _apply_instr(amps: np.ndarray, ins: _Instr, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` (``_instr_matrix(ins)`` or its adjoint) on ``ins``'s
+    targets."""
     if len(ins.targets) == 1:
         return sim.apply_1q(amps, mat, ins.targets[0])
     return sim.apply_controlled_1q(amps, mat, ins.targets[0], ins.targets[1])
@@ -401,9 +401,11 @@ def _z_diags(n_qubits: int) -> np.ndarray:
     return np.stack([sim.z_diagonal(n_qubits, q) for q in range(n_qubits)])
 
 
-def _forward_amps(instrs: list[_Instr], amps: np.ndarray) -> np.ndarray:
-    for ins in instrs:
-        amps = _apply_instr(amps, ins)
+def _forward_amps(
+    instrs: list[_Instr], mats: list[np.ndarray], amps: np.ndarray
+) -> np.ndarray:
+    for ins, mat in zip(instrs, mats):
+        amps = _apply_instr(amps, ins, mat)
     return amps
 
 
@@ -421,7 +423,7 @@ def quantum_features(
     if mode == "pure":
         if noise:
             raise ValueError("pure mode requires an empty noise policy")
-        amps = _forward_amps(instrs, init)
+        amps = _forward_amps(instrs, [_instr_matrix(ins) for ins in instrs], init)
         return (np.abs(amps) ** 2) @ zd.T
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
@@ -470,10 +472,15 @@ def predict_batch(
 # sweep differentiates <psi| O |psi> for O = sum_q w_q Z_q with w = dL/dz,
 # visiting each gate once: grad through exp(-i theta G / 2) is
 # Im(<lambda| G |psi_k>) with lambda = (prefix unitary)^dagger O |psi_final>.
+# One forward pass gives the logits, the loss gradient and psi_final; ket and
+# lambda then travel back together as one [B, 2, dim] array, so each gate is
+# undone on both with a single kernel call.
 # ---------------------------------------------------------------------------
 
 
-def _apply_generator(amps: np.ndarray, ins: _Instr) -> np.ndarray:
+def _apply_generator(amps: np.ndarray, ins: _Instr, masks: np.ndarray) -> np.ndarray:
+    """G |amps> for the gate's generator; ``masks[q]`` is 1 where qubit q's
+    bit is set."""
     if ins.kind == "RX":
         return sim.apply_1q(amps, sim._X, ins.targets[0])
     if ins.kind == "RY":
@@ -482,15 +489,13 @@ def _apply_generator(amps: np.ndarray, ins: _Instr) -> np.ndarray:
         return sim.apply_1q(amps, sim._Z, ins.targets[0])
     if ins.kind == "CRX":
         c, t = ins.targets
-        out = sim.apply_controlled_1q(amps, sim._X, c, t)
-        dim = amps.shape[-1]
-        mask = ((np.arange(dim) >> c) & 1).astype(float)
-        return out * mask
+        return sim.apply_controlled_1q(amps, sim._X, c, t) * masks[c]
     raise AssertionError(f"gate {ins.kind} carries no parameter")
 
 
 def _adjoint_backward(
     instrs: list[_Instr],
+    mats: list[np.ndarray],
     psi_final: np.ndarray,
     lam: np.ndarray,
     n_theta: int,
@@ -498,32 +503,36 @@ def _adjoint_backward(
     sample_scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dtheta [n_theta], dX [B, n_features], final bra); per-sample
-    gate grads are reduced into dtheta with ``sample_scale`` weights."""
-    ket = psi_final
+    gate grads are reduced into dtheta with ``sample_scale`` weights.
+    ``mats`` are the forward pass's gate matrices."""
+    dim = psi_final.shape[-1]
+    masks = ((np.arange(dim) >> np.arange(dim.bit_length() - 1)[:, None]) & 1).astype(float)
+    state = np.stack([psi_final, lam], axis=1)  # [B, 2, dim]: ket, bra
     dtheta = np.zeros(n_theta)
     dX = np.zeros((psi_final.shape[0], n_features))
-    for ins in reversed(instrs):
+    for ins, mat in zip(reversed(instrs), reversed(mats)):
         if ins.tag is not None:
-            gen = _apply_generator(ket, ins)
-            g = np.sum(lam.conj() * gen, axis=-1).imag
+            gen = _apply_generator(state[:, 0], ins, masks)
+            g = np.sum(state[:, 1].conj() * gen, axis=-1).imag
             what, idx, scale = ins.tag
             if what == "theta":
                 dtheta[idx] += scale * float(np.dot(sample_scale, g))
             else:
                 dX[:, idx] += scale * sample_scale * g
-        ket = _apply_instr(ket, ins, dagger=True)
-        lam = _apply_instr(lam, ins, dagger=True)
-    return dtheta, dX, lam
+        state = _apply_instr(state, ins, np.conj(np.swapaxes(mat, -1, -2)))
+    return dtheta, dX, state[:, 1]
 
 
 def _quantum_backward(
     model: QuantumModel,
     X: np.ndarray,
-    dlogits: np.ndarray,
+    loss_grad,
     sample_weights: np.ndarray | None = None,
 ):
-    """Weighted-sum gradients of a loss with per-sample logit gradients
-    ``dlogits`` [B, C]. Returns (param grads, dX [B, F] per-sample)."""
+    """Logits and weighted-sum gradients from one forward pass.
+    ``loss_grad`` maps the logits [B, C] to per-sample dL/dlogits [B, C].
+    Returns (logits, param grads, dX [B, F] per-sample); the logits equal
+    ``forward_batch``'s bit for bit."""
     X = np.asarray(X, dtype=float)
     B = X.shape[0]
     w = np.ones(B) if sample_weights is None else np.asarray(sample_weights, dtype=float)
@@ -531,9 +540,12 @@ def _quantum_backward(
     head_w = model.params.head_w
 
     instrs, init = _program(model, X)
-    psi = _forward_amps(instrs, init)
+    mats = [_instr_matrix(ins) for ins in instrs]
+    psi = _forward_amps(instrs, mats, init)
     zd = _z_diags(n)
     z = (np.abs(psi) ** 2) @ zd.T
+    logits = z @ head_w.T + model.params.head_b
+    dlogits = loss_grad(logits)
 
     obs_w = dlogits @ head_w  # [B, n] = dL/dz
     diag = obs_w @ zd  # [B, dim]
@@ -544,7 +556,7 @@ def _quantum_backward(
         if isinstance(model, QmlpModel)
         else model.params.rot.size + model.params.ent.size
     )
-    dtheta, dX, lam0 = _adjoint_backward(instrs, psi, lam, n_theta, X.shape[1], w)
+    dtheta, dX, lam0 = _adjoint_backward(instrs, mats, psi, lam, n_theta, X.shape[1], w)
 
     if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
         # d<O>/dv through v/||v||, v = zero-padded x (grads are real-valued).
@@ -560,7 +572,34 @@ def _quantum_backward(
     else:
         drot, dent = _theta_grad_to_params(model, dtheta)
         grads = Pqc6Params(drot, dent, dhw, dhb)
-    return grads, dX
+    return logits, grads, dX
+
+
+def logits_and_grads(
+    model: Model,
+    X: np.ndarray,
+    loss_grad,
+    sample_weights: np.ndarray | None = None,
+):
+    """(logits [B, C], parameter grads, dX [B, F]) of the weighted loss whose
+    per-sample logit gradient is ``loss_grad(logits)``, from one forward pass.
+    Pure (noiseless) mode only; use spsa_grad under noise."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(model, CmlpModel):
+        logits = cmlp_forward_batch(model.config, model.params, X)
+        grads, dX = cmlp_backward(
+            model.config, model.params, X, loss_grad(logits), sample_weights
+        )
+        return logits, grads, dX
+    return _quantum_backward(model, X, loss_grad, sample_weights)
+
+
+def _single_grads(model: Model, x: np.ndarray, y, loss_fn):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    _, grads, dX = logits_and_grads(
+        model, x, lambda logits: loss_fn(logits[0], y)[1][None, :]
+    )
+    return grads, dX[0]
 
 
 def grad_params(model: Model, x: np.ndarray, y, loss_fn):
@@ -569,36 +608,12 @@ def grad_params(model: Model, x: np.ndarray, y, loss_fn):
     ``loss_fn`` returns (loss, dloss/dlogits). Pure (noiseless) mode only;
     use spsa_grad under noise.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    logits = forward_batch(model, x)
-    _, dlogits = loss_fn(logits[0], y)
-    if isinstance(model, CmlpModel):
-        grads, _ = cmlp_backward(model.config, model.params, x, dlogits[None, :])
-        return grads
-    grads, _ = _quantum_backward(model, x, dlogits[None, :])
-    return grads
+    return _single_grads(model, x, y, loss_fn)[0]
 
 
 def grad_input(model: Model, x: np.ndarray, y, loss_fn) -> np.ndarray:
     """Gradient of the loss w.r.t. the input features (pure mode only)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    logits = forward_batch(model, x)
-    _, dlogits = loss_fn(logits[0], y)
-    if isinstance(model, CmlpModel):
-        _, dX = cmlp_backward(model.config, model.params, x, dlogits[None, :])
-        return dX[0]
-    _, dX = _quantum_backward(model, x, dlogits[None, :])
-    return dX[0]
-
-
-def grad_input_batch(model: Model, X: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-    """Per-sample input gradients for a batch, given dL/dlogits rows."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(model, CmlpModel):
-        _, dX = cmlp_backward(model.config, model.params, X, dlogits)
-        return dX
-    _, dX = _quantum_backward(model, X, dlogits)
-    return dX
+    return _single_grads(model, x, y, loss_fn)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +626,7 @@ _SHIFT_C2 = (np.sqrt(2) - 1) / (4 * np.sqrt(2))
 
 
 def _z_of_instrs(model, instrs, init) -> np.ndarray:
-    psi = _forward_amps(instrs, init)
+    psi = _forward_amps(instrs, [_instr_matrix(ins) for ins in instrs], init)
     return ((np.abs(psi) ** 2) @ _z_diags(model.config.n_qubits).T)[0]
 
 
@@ -840,9 +855,24 @@ def load_model(path) -> tuple[Model, int]:
             ),
             **cfg,
         )
-        return QmlpModel(config, QmlpParams(**params)), seed
-    if kind == "qnn":
-        return Pqc6Model(Pqc6Config(**cfg), Pqc6Params(**params)), seed
-    if kind == "cmlp":
-        return CmlpModel(CmlpConfig(**cfg), CmlpParams(**params)), seed
-    raise ValueError(f"unknown model kind {kind!r}")
+        init = init_qmlp
+    elif kind == "qnn":
+        config, init = Pqc6Config(**cfg), init_pqc6
+    elif kind == "cmlp":
+        config, init = CmlpConfig(**cfg), init_cmlp
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    template = init(config, np.random.default_rng(0))  # for the shapes only
+    want = tree_arrays(template.params)
+    for name, arr in want.items():
+        if name not in params:
+            raise ValueError(f"checkpoint has no parameter {name!r}")
+        if params[name].shape != arr.shape:
+            raise ValueError(
+                f"checkpoint parameter {name!r} has shape {params[name].shape}, "
+                f"the config implies {arr.shape}"
+            )
+    extra = sorted(set(params) - set(want))
+    if extra:
+        raise ValueError(f"checkpoint has unknown parameters {extra}")
+    return replace_params(template, type(template.params)(**params)), seed

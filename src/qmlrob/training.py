@@ -167,15 +167,12 @@ class OptimizerState:
 # ---------------------------------------------------------------------------
 
 
-def _batch_grads(model, X, tdist, norm_w, mode, noise):
-    logits = models.forward_batch(model, X, mode, noise)
-    losses = cross_entropy_batch(logits, tdist)
-    dlogits = softmax(logits) - tdist
-    if isinstance(model, models.CmlpModel):
-        grads, _ = models.cmlp_backward(model.config, model.params, X, dlogits, norm_w)
-    else:
-        grads, _ = models._quantum_backward(model, X, dlogits, norm_w)
-    return losses, grads
+def _batch_grads(model, X, tdist, norm_w):
+    """Per-sample losses and weighted parameter grads from one forward pass."""
+    logits, grads, _ = models.logits_and_grads(
+        model, X, lambda logits: softmax(logits) - tdist, norm_w
+    )
+    return cross_entropy_batch(logits, tdist), grads
 
 
 def train_epoch(
@@ -226,7 +223,7 @@ def train_epoch(
         X = dataset.features[idx]
         tdist = target_distributions(dataset.labels[idx], C, config.label_smoothing)
         if opt == "adam":
-            losses, grads = _batch_grads(model, X, tdist, w / wsum, mode, noise)
+            losses, grads = _batch_grads(model, X, tdist, w / wsum)
             new_params, opt_state.adam = adam_step(
                 model.params, grads, opt_state.adam, config
             )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qmlrob import models
 from qmlrob.attacks import (
     AttackConfig,
     PoisonRecord,
@@ -20,7 +21,7 @@ from qmlrob.attacks import (
 )
 from qmlrob.datasets import Dataset, synth_blobs
 from qmlrob.encoding import EncodingSpec, encode_state
-from qmlrob.models import CmlpConfig, CmlpModel, CmlpParams, init_cmlp
+from qmlrob.models import CmlpConfig, CmlpModel, CmlpParams, Pqc6Config, init_cmlp, init_pqc6
 
 
 def toy_dataset(n=10, n_classes=2, seed=0):
@@ -224,6 +225,15 @@ class TestPgd:
             )
             assert np.max(np.abs(out - x)) <= eps + 1e-12
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+    def test_iteration_simulates_the_circuit_once(self, kernel_calls):
+        # One forward plus the stacked adjoint sweep per iteration: at most 3
+        # kernel calls per instruction; a second forward would make it 4.
+        m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(3))
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 8))
+        n_instr = len(models._program(m, X)[0])
+        pgd(m, X, np.arange(5) % 4, 0.1, 0.05, 1, (-math.pi, math.pi))
+        assert 0 < kernel_calls[0] <= 3 * n_instr
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):

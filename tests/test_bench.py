@@ -121,6 +121,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="channel"):
             parse_config(base_raw(mode={"kind": "mixed", "channels": channels}))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "batch_size", "a"),
+            ("train", "epochs", 2.5),
+            ("train", "lr", "fast"),
+            ("train", "seed", True),
+            ("attack", "iters", "3"),
+            ("attack", "eps", None),
+            ("defense", "wan_lr", "0.1"),
+            ("defense", "sweeps", 1.0),
+        ],
+    )
+    def test_wrongly_typed_numbers_rejected(self, section, key, value):
+        raw = base_raw(attack={"kind": "label_flip", "ratio": 0.5}, defense={})
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("seeds", [3, "0", [0, "1"], [0.5], [True]])
+    def test_seeds_must_be_a_list_of_ints(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(base_raw(seeds=seeds))
+
     @pytest.mark.parametrize("section", ["data", "model"])
     def test_section_kind_required(self, section):
         raw = base_raw()
@@ -362,8 +386,16 @@ class TestCli:
             lambda raw: raw.update(mode={"kind": "mixed", "channels": [{"kind": "depolarizing"}]}),
             lambda raw: raw["data"].pop("kind"),
             lambda raw: raw["train"].update(batch_size=0),
+            lambda raw: raw["train"].update(batch_size="a"),
+            lambda raw: raw.update(seeds=3),
         ],
-        ids=["channel_without_p", "data_without_kind", "zero_batch_size"],
+        ids=[
+            "channel_without_p",
+            "data_without_kind",
+            "zero_batch_size",
+            "string_batch_size",
+            "scalar_seeds",
+        ],
     )
     def test_malformed_config_gives_one_error_line(self, tmp_path, edit):
         raw = base_raw(out_dir=str(tmp_path / "out"), seeds=[0])
@@ -374,6 +406,23 @@ class TestCli:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
         assert "range()" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "defense",
+        [{"wan_lr": -1.0}, {"wan_lr": 1.5}, {"anneal_coeff": -5}],
+        ids=["negative_wan_lr", "wan_lr_above_one", "negative_anneal_coeff"],
+    )
+    def test_bad_defense_config_gives_one_error_line(self, tmp_path, defense):
+        raw = base_raw(out_dir=str(tmp_path / "out"), seeds=[0])
+        raw["model"] = {"kind": "qnn", "n_qubits": 2}
+        raw["attack"] = {"kind": "quid", "ratio": 0.5}
+        raw["defense"] = defense
+        result = run_cli(["defend", "--config", str(self.write_config(tmp_path, raw))], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert result.stderr.count("\n") == 1
+        assert next(iter(defense)) in result.stderr
+        assert not (tmp_path / "out" / "table.tsv").exists()
 
     def test_missing_config_file_fails_cleanly(self, tmp_path):
         result = run_cli(["baseline", "--config", str(tmp_path / "nope.yaml")], tmp_path)

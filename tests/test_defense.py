@@ -112,6 +112,18 @@ class TestQdetectWeights:
         with pytest.raises(ValueError):
             QDetectConfig(keep_fraction=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("wan_lr", -1.0), ("wan_lr", 0.0), ("wan_lr", 1.5), ("anneal_coeff", -5.0)],
+    )
+    def test_rejects_bad_update_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QDetectConfig(**{field: value})
+
+    def test_accepts_edge_update_settings(self):
+        cfg = QDetectConfig(wan_lr=1.0, anneal_coeff=0.0)
+        assert cfg.wan_lr == 1.0 and cfg.anneal_coeff == 0.0
+
 
 def small_task(seed, flip_ratio=0.0):
     rng = np.random.default_rng(seed)

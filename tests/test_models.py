@@ -33,7 +33,7 @@ from qmlrob.models import (
     unflatten_params,
 )
 from qmlrob.sim import make_amplitude_damping, make_depolarizing
-from qmlrob.training import ce_with_grad, cross_entropy_batch
+from qmlrob.training import ce_with_grad, cross_entropy_batch, softmax
 
 ANGLE4 = EncodingSpec("angle", 4, (0.0, math.pi))
 
@@ -325,6 +325,46 @@ class TestGradients:
             assert ga[i] == pytest.approx(fd, abs=1e-6, rel=1e-4)
 
 
+class TestOneForwardGradients:
+    """The gradient path simulates each circuit once and returns the logits
+    it read out; they must be the forward pass's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["angle", "amplitude", "qnn"])
+    def test_logits_bitwise_equal_forward_batch(self, kind):
+        rng = np.random.default_rng(41)
+        if kind == "qnn":
+            m = init_pqc6(Pqc6Config(), np.random.default_rng(5))
+            X = rng.uniform(-math.pi, math.pi, size=(6, 8))
+        else:
+            m = make_qmlp(layers=3, n=4, n_classes=4, kind=kind, seed=6)
+            X = rng.uniform(0.1, 1.2, size=(6, 4 if kind == "angle" else 11))
+        seen = []
+
+        def loss_grad(logits):
+            seen.append(logits.copy())
+            return np.ones_like(logits)
+
+        logits, _, _ = models._quantum_backward(m, X, loss_grad)
+        want = models.forward_batch(m, X)
+        assert logits.tobytes() == want.tobytes()
+        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+
+    def test_weighted_batch_grads_sum_single_sample_grads(self):
+        m = init_pqc6(Pqc6Config(n_qubits=3, layers=2, n_classes=3), np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-math.pi, math.pi, size=(4, 6))
+        y = np.array([0, 2, 1, 2])
+        w = rng.uniform(0.1, 1.0, size=4)
+        onehot = np.eye(3)[y]
+        _, grads, dX = models.logits_and_grads(m, X, lambda logits: softmax(logits) - onehot, w)
+        single = [grad_params(m, X[i], int(y[i]), ce_with_grad) for i in range(4)]
+        want = sum(wi * flatten_params(g) for wi, g in zip(w, single))
+        assert np.max(np.abs(flatten_params(grads) - want)) < 1e-12
+        for i in range(4):
+            gx = grad_input(m, X[i], int(y[i]), ce_with_grad)
+            assert np.max(np.abs(dX[i] - w[i] * gx)) < 1e-12
+
+
 class TestSpsa:
     def test_symmetric_point_estimates_zero(self):
         rng = np.random.default_rng(0)
@@ -436,6 +476,35 @@ class TestCheckpoints:
             models.tree_arrays(m.params).values(),
         ):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("qmlp", "theta"), ("qmlp", "head_b"), ("qnn", "ent"), ("cmlp", "w1")],
+    )
+    def test_rejects_param_shape_that_config_does_not_imply(self, tmp_path, kind, field):
+        rng = np.random.default_rng(2)
+        if kind == "qmlp":
+            m = make_qmlp(layers=2, n=3, n_classes=3, seed=2)
+        elif kind == "qnn":
+            m = init_pqc6(Pqc6Config(), rng)
+        else:
+            m = init_cmlp(CmlpConfig(4, 8, 3), rng)
+        path = tmp_path / "model.npz"
+        save_model(path, m, seed=0)
+        data = dict(np.load(path, allow_pickle=False))
+        data[f"param_{field}"] = data[f"param_{field}"][..., :-1]
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=repr(field)):
+            load_model(path)
+
+    def test_rejects_missing_param(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(path, init_cmlp(CmlpConfig(2, 2, 2), np.random.default_rng(0)), seed=0)
+        data = dict(np.load(path, allow_pickle=False))
+        del data["param_b2"]
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="'b2'"):
+            load_model(path)
 
     def test_rejects_unknown_version(self, tmp_path):
         m = init_cmlp(CmlpConfig(2, 2, 2), np.random.default_rng(0))

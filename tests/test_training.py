@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qmlrob import models, training
 from qmlrob.datasets import Dataset, synth_blobs
 from qmlrob.encoding import EncodingSpec
 from qmlrob.models import (
     CmlpConfig,
     CmlpParams,
     CmlpModel,
+    Pqc6Config,
     QmlpConfig,
     flatten_params,
     init_cmlp,
+    init_pqc6,
     init_qmlp,
     tree_map,
 )
@@ -180,6 +183,17 @@ class TestTrainEpoch:
             m, _ = fit(m, ds, cfg)
             runs.append(flatten_params(m.params))
         assert np.array_equal(runs[0], runs[1])
+
+    def test_adam_step_simulates_the_circuit_once(self, kernel_calls):
+        # One forward (1 call per instruction) plus the stacked adjoint sweep
+        # (generator + one inverse gate on ket and bra together): a second
+        # forward would add another call per instruction.
+        m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(1))
+        X = np.random.default_rng(2).uniform(-math.pi, math.pi, size=(8, 8))
+        tdist = one_hot(np.arange(8) % 4, 4)
+        n_instr = len(models._program(m, X)[0])
+        training._batch_grads(m, X, tdist, np.full(8, 1 / 8))
+        assert 0 < kernel_calls[0] <= 3 * n_instr
 
     def test_empty_dataset_rejected(self):
         ds = blob_sets()
