@@ -174,15 +174,18 @@ def _check_keys(section: str, payload: dict, required: tuple[str, ...] = ()) -> 
         raise ConfigError(f"section {section!r} must be a mapping")
     unknown = set(payload) - _SECTION_KEYS[section]
     if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown, key=str)}")
     missing = [k for k in required if k not in payload]
     if missing:
         raise ConfigError(f"section {section!r} requires {missing}")
 
 
 # section -> (integer keys, real-number keys) whose values the dataclass
-# constructors compare, so a wrongly typed value must stop at parse time.
+# constructors or the runner compare and count with, so a wrongly typed value
+# must stop at parse time. ``data.pca_dim`` may also be null.
 _NUMERIC_KEYS = {
+    "data": (("n_classes", "dim", "per_class_train", "per_class_test", "pca_dim"), ("spread",)),
+    "model": (("layers", "n_qubits", "hidden_dim"), ()),
     "train": (
         ("batch_size", "epochs", "seed"),
         ("lr", "weight_decay", "label_smoothing", "spsa_step", "spsa_perturb"),
@@ -203,11 +206,37 @@ def _is_real(value) -> bool:
 def _check_numeric(section: str, payload: dict) -> None:
     ints, reals = _NUMERIC_KEYS[section]
     for key in ints:
+        if key == "pca_dim" and payload.get(key) is None:
+            continue
         if key in payload and not _is_int(payload[key]):
             raise ConfigError(f"{section}.{key} must be an integer, got {payload[key]!r}")
     for key in reals:
         if key in payload and not _is_real(payload[key]):
             raise ConfigError(f"{section}.{key} must be a number, got {payload[key]!r}")
+
+
+def _as_float(name: str, value) -> float:
+    if not _is_real(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range, got {value!r}") from None
+
+
+def _parse_pair(name: str, raw) -> tuple[float, float]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(f"{name} must be a list of two numbers, got {raw!r}")
+    return (_as_float(name, raw[0]), _as_float(name, raw[1]))
+
+
+def _construct(cls, payload: dict):
+    """``cls(**payload)``, its range checks' ValueError raised as a
+    ConfigError."""
+    try:
+        return cls(**payload)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_seeds(raw) -> tuple[int, ...]:
@@ -223,10 +252,7 @@ def _parse_channels(raw) -> tuple[tuple[str, float], ...]:
     for ch in raw:
         if not isinstance(ch, dict) or "kind" not in ch or "p" not in ch:
             raise ConfigError(f"each noise channel needs 'kind' and 'p', got {ch!r}")
-        p = ch["p"]
-        if not _is_real(p):
-            raise ConfigError(f"noise channel 'p' must be a number, got {p!r}")
-        out.append((ch["kind"], float(p)))
+        out.append((ch["kind"], _as_float("noise channel 'p'", ch["p"])))
     return tuple(out)
 
 
@@ -235,19 +261,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a mapping")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
     if "data" not in raw or "model" not in raw:
         raise ConfigError("config requires 'data' and 'model' sections")
 
     _check_keys("data", raw["data"], required=("kind",))
+    _check_numeric("data", raw["data"])
     data = DataConfig(**raw["data"])
     if data.kind not in ("blobs", "mnist", "csv"):
         raise ConfigError(f"unknown dataset kind {data.kind!r}")
 
     _check_keys("model", raw["model"], required=("kind",))
+    _check_numeric("model", raw["model"])
     mraw = dict(raw["model"])
-    if "input_range" in mraw and mraw["input_range"] is not None:
-        mraw["input_range"] = tuple(float(v) for v in mraw["input_range"])
+    if mraw.get("input_range") is not None:
+        mraw["input_range"] = _parse_pair("model.input_range", mraw["input_range"])
     model = ModelSpecConfig(**mraw)
     if model.kind not in ("qmlp", "qnn", "cmlp"):
         raise ConfigError(f"unknown model kind {model.kind!r}")
@@ -267,9 +295,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     attack = None
     if raw.get("attack") is not None:
-        _check_keys("attack", raw["attack"])
+        _check_keys("attack", raw["attack"], required=("kind",))
         _check_numeric("attack", raw["attack"])
-        attack = AttackConfig(**raw["attack"])
+        attack = _construct(AttackConfig, raw["attack"])
 
     defense = None
     if raw.get("defense") is not None:
@@ -277,14 +305,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _check_numeric("defense", raw["defense"])
         draw = dict(raw["defense"])
         if "beta_range" in draw:
-            draw["beta_range"] = tuple(float(v) for v in draw["beta_range"])
-        defense = QDetectConfig(**draw)
+            draw["beta_range"] = _parse_pair("defense.beta_range", draw["beta_range"])
+        defense = _construct(QDetectConfig, draw)
 
     train = TrainConfig()
     if "train" in raw:
         _check_keys("train", raw["train"])
         _check_numeric("train", raw["train"])
-        train = TrainConfig(**raw["train"])
+        train = _construct(TrainConfig, raw["train"])
 
     seeds = _parse_seeds(raw.get("seeds", (0,)))
     return ExperimentConfig(

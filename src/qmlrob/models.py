@@ -4,10 +4,15 @@ Three model families: the re-uploading QMLP (angle or amplitude encoding,
 ring CRX entanglers), the 4-qubit dense-angle QNN with all-to-all CRX
 entanglers, and a one-hidden-layer classical MLP baseline.
 
-Quantum gradients come from an adjoint backward sweep (exact for expectation
-readouts) that starts from the state of the one forward pass it also reads
-the logits from; a parameter-shift path with the four-term rule for
-controlled rotations is kept alongside as an independent cross-check.
+Every circuit pass works on blocks: a maximal run of single-qubit gates on
+one qubit is fused into one 2x2 matrix (one superoperator on the noisy path),
+and each two-qubit gate is a block of its own. Quantum gradients come from an
+adjoint backward sweep (exact for expectation readouts) that starts from the
+state of the one forward pass it also reads the logits from. Per block it
+reduces the ket and bra to a small local cross matrix, reads every member
+gate's gradient from it, and undoes the block with one kernel call. A
+parameter-shift path with the four-term rule for controlled rotations runs
+gate by gate and is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -223,16 +228,9 @@ def _instr_matrix(ins: _Instr) -> np.ndarray:
     return GateOp(ins.kind, ins.targets).base_matrix()
 
 
-def _instr_unitary(ins: _Instr) -> np.ndarray:
-    """Local unitary of ``ins`` in ``sim.gate_unitary``'s convention; one per
-    sample for encoding gates."""
-    mat = _instr_matrix(ins)
-    return mat if len(ins.targets) == 1 else sim.controlled_unitary(mat)
-
-
-def _apply_instr(amps: np.ndarray, ins: _Instr, mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` (``_instr_matrix(ins)`` or its adjoint) on ``ins``'s
-    targets."""
+def _apply_instr(amps: np.ndarray, ins, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` on the targets of ``ins`` (an instruction or a block):
+    on the one qubit, or on the target when the control bit is set."""
     if len(ins.targets) == 1:
         return sim.apply_1q(amps, mat, ins.targets[0])
     return sim.apply_controlled_1q(amps, mat, ins.targets[0], ins.targets[1])
@@ -358,6 +356,59 @@ def _theta_grad_to_params(model: QuantumModel, flat: np.ndarray):
     )
 
 
+# ---------------------------------------------------------------------------
+# Gate fusion. A block is a maximal run of single-qubit gates on one qubit,
+# with no instruction in between touching that qubit, or one two-qubit gate.
+# Gates on different qubits commute, so moving a run's later members back to
+# its first one is exact. The forward, the adjoint sweep and the noisy path
+# all walk the same blocks: one kernel call (or one superoperator) per block,
+# while each member keeps its own matrix and tag for the gradient.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Block:
+    targets: tuple[int, ...]
+    members: tuple[_Instr, ...]  # in circuit order
+    mats: tuple[np.ndarray, ...]  # each member's _instr_matrix
+    mat: np.ndarray  # mats[-1] @ ... @ mats[0]; one per sample if any member is
+
+
+def _fuse(instrs: list[_Instr]) -> list[_Block]:
+    runs: list[tuple[tuple[int, ...], list[_Instr], list[np.ndarray]]] = []
+    open_run: dict[int, int] = {}  # qubit -> index of its open single-qubit run
+    for ins in instrs:
+        mat = _instr_matrix(ins)
+        if len(ins.targets) == 1 and ins.targets[0] in open_run:
+            _, members, mats = runs[open_run[ins.targets[0]]]
+            members.append(ins)
+            mats.append(mat)
+            continue
+        for q in ins.targets:
+            open_run.pop(q, None)
+        if len(ins.targets) == 1:
+            open_run[ins.targets[0]] = len(runs)
+        runs.append((ins.targets, [ins], [mat]))
+    blocks = []
+    for targets, members, mats in runs:
+        fused = mats[0]
+        for mat in mats[1:]:
+            fused = mat @ fused
+        blocks.append(_Block(targets, tuple(members), tuple(mats), fused))
+    return blocks
+
+
+def _block_superop(block: _Block, noise: tuple[KrausChannel, ...]) -> np.ndarray:
+    """Product of the members' local superoperators, each gate followed by
+    the noise on its targets."""
+    s = None
+    for mat in block.mats:
+        u = mat if len(block.targets) == 1 else sim.controlled_unitary(mat)
+        sk = sim.local_superop(u, noise)
+        s = sk if s is None else sk @ s
+    return s
+
+
 def _instrs_to_ops(instrs: list[_Instr], b: int) -> tuple[GateOp, ...]:
     ops = []
     for ins in instrs:
@@ -401,11 +452,9 @@ def _z_diags(n_qubits: int) -> np.ndarray:
     return np.stack([sim.z_diagonal(n_qubits, q) for q in range(n_qubits)])
 
 
-def _forward_amps(
-    instrs: list[_Instr], mats: list[np.ndarray], amps: np.ndarray
-) -> np.ndarray:
-    for ins, mat in zip(instrs, mats):
-        amps = _apply_instr(amps, ins, mat)
+def _forward_amps(blocks: list[_Block], amps: np.ndarray) -> np.ndarray:
+    for block in blocks:
+        amps = _apply_instr(amps, block, block.mat)
     return amps
 
 
@@ -423,14 +472,13 @@ def quantum_features(
     if mode == "pure":
         if noise:
             raise ValueError("pure mode requires an empty noise policy")
-        amps = _forward_amps(instrs, [_instr_matrix(ins) for ins in instrs], init)
+        amps = _forward_amps(_fuse(instrs), init)
         return (np.abs(amps) ** 2) @ zd.T
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
     dm = np.einsum("bi,bj->bij", init, init.conj())
-    for ins in instrs:
-        s = sim.local_superop(_instr_unitary(ins), noise)
-        dm = sim.apply_local_superop(dm, s, ins.targets)
+    for block in _fuse(instrs):
+        dm = sim.apply_local_superop(dm, _block_superop(block, noise), block.targets)
     diag = np.einsum("bii->bi", dm).real
     return diag @ zd.T
 
@@ -469,33 +517,54 @@ def predict_batch(
 
 # ---------------------------------------------------------------------------
 # Adjoint gradients. For the loss L(logits(z)) with z_q = <Z_q>, the backward
-# sweep differentiates <psi| O |psi> for O = sum_q w_q Z_q with w = dL/dz,
-# visiting each gate once: grad through exp(-i theta G / 2) is
-# Im(<lambda| G |psi_k>) with lambda = (prefix unitary)^dagger O |psi_final>.
-# One forward pass gives the logits, the loss gradient and psi_final; ket and
-# lambda then travel back together as one [B, 2, dim] array, so each gate is
-# undone on both with a single kernel call.
+# sweep differentiates <psi| O |psi> for O = sum_q w_q Z_q with w = dL/dz: the
+# gradient through a gate exp(-i theta G / 2) is Im(<lambda| G |psi>), with
+# psi the state just after the gate and lambda = (suffix unitary)^dagger O
+# |psi_final>. One forward pass gives the logits, the loss gradient and
+# psi_final; ket and lambda then travel back together as one [B, 2, dim]
+# array, a block at a time. At a block's end the sweep reduces them to the
+# local cross matrix M = Tr_rest |psi><lambda| ([B, 2, 2] on the block's
+# qubit; for a controlled rotation, on its target within the control-1
+# subspace, the only part its generator sees). A member's gradient is
+# Im Tr(G M_k), with M_k = W^dagger M W the cross matrix just after it and W
+# the product of the block's members after it; the sweep reads it as
+# Im Tr((W G W^dagger) M), so the 2x2 algebra stays unbatched for shared
+# gates. The whole block is then undone on ket and lambda with one kernel
+# call.
 # ---------------------------------------------------------------------------
 
+_GENERATORS = {"RX": sim._X, "RY": sim._Y, "RZ": sim._Z, "CRX": sim._X}
 
-def _apply_generator(amps: np.ndarray, ins: _Instr, masks: np.ndarray) -> np.ndarray:
-    """G |amps> for the gate's generator; ``masks[q]`` is 1 where qubit q's
-    bit is set."""
-    if ins.kind == "RX":
-        return sim.apply_1q(amps, sim._X, ins.targets[0])
-    if ins.kind == "RY":
-        return sim.apply_1q(amps, sim._Y, ins.targets[0])
-    if ins.kind == "RZ":
-        return sim.apply_1q(amps, sim._Z, ins.targets[0])
-    if ins.kind == "CRX":
-        c, t = ins.targets
-        return sim.apply_controlled_1q(amps, sim._X, c, t) * masks[c]
-    raise AssertionError(f"gate {ins.kind} carries no parameter")
+
+def _cross_matrix(state: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """M[b, a, c] = sum over the other qubits of ket[b, a] conj(bra[b, c]) for
+    the stacked ket/bra ``state`` [B, 2, dim]; a and c are the bit of the
+    last target (with the control bit set, for two targets)."""
+    B, _, dim = state.shape
+    t = targets[-1]
+    # View as [B, ket|bra, target bit, other qubits...].
+    if len(targets) == 1:
+        v = state.reshape(B, 2, dim >> (t + 1), 2, 1 << t).transpose(0, 1, 3, 2, 4)
+    else:
+        c = targets[0]
+        hi, lo = max(c, t), min(c, t)
+        a = state.reshape(B, 2, dim >> (hi + 1), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
+        if c > t:
+            v = a[:, :, :, 1].transpose(0, 1, 4, 2, 3, 5)
+        else:
+            v = a[:, :, :, :, :, 1].transpose(0, 1, 3, 2, 4, 5)
+    # Contract the longest of the other axes (vecdot conjugates the bra), sum the rest.
+    rest = v.shape[3:]
+    m = np.vecdot(v[:, 1, None, :], v[:, 0, :, None], axis=3 + rest.index(max(rest)))
+    return m.sum(axis=tuple(range(3, m.ndim))) if m.ndim > 3 else m
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(mat, -1, -2))
 
 
 def _adjoint_backward(
-    instrs: list[_Instr],
-    mats: list[np.ndarray],
+    blocks: list[_Block],
     psi_final: np.ndarray,
     lam: np.ndarray,
     n_theta: int,
@@ -504,22 +573,29 @@ def _adjoint_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dtheta [n_theta], dX [B, n_features], final bra); per-sample
     gate grads are reduced into dtheta with ``sample_scale`` weights.
-    ``mats`` are the forward pass's gate matrices."""
-    dim = psi_final.shape[-1]
-    masks = ((np.arange(dim) >> np.arange(dim.bit_length() - 1)[:, None]) & 1).astype(float)
+    ``blocks`` are the forward pass's."""
     state = np.stack([psi_final, lam], axis=1)  # [B, 2, dim]: ket, bra
     dtheta = np.zeros(n_theta)
     dX = np.zeros((psi_final.shape[0], n_features))
-    for ins, mat in zip(reversed(instrs), reversed(mats)):
-        if ins.tag is not None:
-            gen = _apply_generator(state[:, 0], ins, masks)
-            g = np.sum(state[:, 1].conj() * gen, axis=-1).imag
-            what, idx, scale = ins.tag
-            if what == "theta":
-                dtheta[idx] += scale * float(np.dot(sample_scale, g))
-            else:
-                dX[:, idx] += scale * sample_scale * g
-        state = _apply_instr(state, ins, np.conj(np.swapaxes(mat, -1, -2)))
+    for block in reversed(blocks):
+        m = None
+        after = None  # product of the members after the current one
+        for ins, mat in zip(reversed(block.members), reversed(block.mats)):
+            if ins.tag is not None:
+                if m is None:
+                    m = _cross_matrix(state, block.targets)
+                    m_scaled = sample_scale[:, None, None] * m
+                gen = _GENERATORS[ins.kind]
+                if after is not None:
+                    gen = after @ gen @ _dagger(after)
+                gen_t = np.swapaxes(gen, -1, -2)
+                what, idx, scale = ins.tag
+                if what == "theta":
+                    dtheta[idx] += scale * float(np.sum(gen_t * m_scaled).imag)
+                else:
+                    dX[:, idx] += scale * sample_scale * np.sum(gen_t * m, axis=(-2, -1)).imag
+            after = mat if after is None else after @ mat
+        state = _apply_instr(state, block, _dagger(block.mat))
     return dtheta, dX, state[:, 1]
 
 
@@ -540,8 +616,8 @@ def _quantum_backward(
     head_w = model.params.head_w
 
     instrs, init = _program(model, X)
-    mats = [_instr_matrix(ins) for ins in instrs]
-    psi = _forward_amps(instrs, mats, init)
+    blocks = _fuse(instrs)
+    psi = _forward_amps(blocks, init)
     zd = _z_diags(n)
     z = (np.abs(psi) ** 2) @ zd.T
     logits = z @ head_w.T + model.params.head_b
@@ -556,7 +632,7 @@ def _quantum_backward(
         if isinstance(model, QmlpModel)
         else model.params.rot.size + model.params.ent.size
     )
-    dtheta, dX, lam0 = _adjoint_backward(instrs, mats, psi, lam, n_theta, X.shape[1], w)
+    dtheta, dX, lam0 = _adjoint_backward(blocks, psi, lam, n_theta, X.shape[1], w)
 
     if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
         # d<O>/dv through v/||v||, v = zero-padded x (grads are real-valued).
@@ -626,7 +702,9 @@ _SHIFT_C2 = (np.sqrt(2) - 1) / (4 * np.sqrt(2))
 
 
 def _z_of_instrs(model, instrs, init) -> np.ndarray:
-    psi = _forward_amps(instrs, [_instr_matrix(ins) for ins in instrs], init)
+    psi = init
+    for ins in instrs:
+        psi = _apply_instr(psi, ins, _instr_matrix(ins))
     return ((np.abs(psi) ** 2) @ _z_diags(model.config.n_qubits).T)[0]
 
 

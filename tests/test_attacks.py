@@ -228,7 +228,8 @@ class TestPgd:
 
     def test_iteration_simulates_the_circuit_once(self, kernel_calls):
         # One forward plus the stacked adjoint sweep per iteration: at most 3
-        # kernel calls per instruction; a second forward would make it 4.
+        # kernel calls per instruction (two per fused block, see
+        # TestGateFusion in test_models.py).
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(3))
         X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 8))
         n_instr = len(models._program(m, X)[0])

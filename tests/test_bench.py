@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import qmlrob
 from qmlrob import bench, cli
@@ -58,6 +59,82 @@ class TestRelativeAccuracy:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             relative_accuracy(10.0, 0.0)
+
+
+# YAML-shaped values: what yaml.safe_load can return.
+YAML_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=6)
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# Values that are valid for a key, so that parsing often gets past its first
+# checks and reaches the dataclass constructors.
+VALID = {
+    "data": {
+        "kind": ["blobs", "csv"], "n_classes": [2, 3], "dim": [4], "per_class_train": [3],
+        "per_class_test": [2], "spread": [0.1], "pca_dim": [None, 2], "csv_path": ["x.csv"],
+    },
+    "model": {
+        "kind": ["qmlp", "qnn", "cmlp"], "encoding": ["angle", "amplitude"], "layers": [1, 2],
+        "n_qubits": [2, 4], "hidden_dim": [8], "input_range": [[0.0, 1.0]], "reupload": [True],
+    },
+    "mode": {"kind": ["pure", "mixed"], "channels": [[{"kind": "depolarizing", "p": 0.01}]]},
+    "attack": {
+        "kind": ["label_flip", "quid", "fgsm", "pgd"], "ratio": [0.5], "eps": [0.1],
+        "step": [0.05], "iters": [2], "quid_variant": ["least_similar"], "random_start": [False],
+    },
+    "defense": {
+        "wan_lr": [0.05], "anneal_coeff": [1.0], "beta_range": [[0.1, 2.0]], "sweeps": [5],
+        "keep_fraction": [0.7], "seed": [0],
+    },
+    "train": {
+        "lr": [0.01], "weight_decay": [0.0], "batch_size": [8], "epochs": [1],
+        "label_smoothing": [0.0], "optimizer": ["auto", "adam", "spsa"], "spsa_step": [0.01],
+        "spsa_perturb": [0.02], "seed": [0],
+    },
+}
+
+
+def _section(name, hostile):
+    """A section mapping whose values are mostly valid; ``hostile`` sections
+    may also carry an unknown key or be no mapping at all."""
+
+    def value(key):  # valid nine times in ten
+        valid = st.sampled_from(VALID[name].get(key, [None]))
+        return st.integers(0, 9).flatmap(lambda i: YAML_VALUES if i == 0 else valid)
+
+    keys = sorted(bench._SECTION_KEYS[name])
+    optional = {k: value(k) for k in keys if k != "kind"}
+    if hostile:
+        optional["bogus"] = YAML_VALUES
+    mapping = st.fixed_dictionaries(
+        {"kind": value("kind")} if "kind" in keys else {}, optional=optional
+    )
+    return st.one_of(mapping, YAML_VALUES) if hostile else mapping
+
+
+def _configs(hostile):
+    return st.fixed_dictionaries(
+        {"data": _section("data", hostile), "model": _section("model", hostile)},
+        optional={
+            **{name: _section(name, hostile) for name in ("mode", "attack", "defense", "train")},
+            "seeds": st.one_of(st.just([0, 1]), YAML_VALUES),
+            "out_dir": YAML_VALUES,
+            "train_mode": YAML_VALUES,
+            "sweep": YAML_VALUES,
+        },
+    )
+
+
+CONFIGS = st.one_of(
+    _configs(hostile=False),
+    _configs(hostile=True),
+    st.dictionaries(st.sampled_from(sorted(bench._TOP_KEYS) + ["bogus"]), YAML_VALUES, max_size=4),
+)
 
 
 class TestConfigParsing:
@@ -139,6 +216,69 @@ class TestConfigParsing:
         raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("data", "per_class_test", "3"),
+            ("data", "n_classes", 3.0),
+            ("data", "dim", True),
+            ("data", "spread", "wide"),
+            ("data", "pca_dim", 2.5),
+            ("model", "layers", "two"),
+            ("model", "n_qubits", None),
+            ("model", "hidden_dim", False),
+        ],
+    )
+    def test_wrongly_typed_data_and_model_numbers_rejected(self, section, key, value):
+        raw = base_raw()
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(raw)
+
+    def test_null_pca_dim_accepted(self):
+        raw = base_raw()
+        raw["data"]["pca_dim"] = None
+        assert parse_config(raw).data.pca_dim is None
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "input_range", [0.0]),
+            ("model", "input_range", [0.0, "pi"]),
+            ("model", "input_range", 3),
+            ("defense", "beta_range", [0.1, 2.0, 3.0]),
+            ("defense", "beta_range", [0.1, 10**400]),
+        ],
+    )
+    def test_malformed_ranges_rejected(self, section, key, value):
+        raw = base_raw(attack={"kind": "label_flip", "ratio": 0.5}, defense={})
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "section, payload",
+        [
+            ("attack", {}),
+            ("attack", {"kind": "teleport"}),
+            ("train", {"optimizer": "sgd"}),
+            ("defense", {"beta_range": [2.0, 1.0]}),
+        ],
+    )
+    def test_dataclass_range_errors_are_config_errors(self, section, payload):
+        raw = base_raw(attack={"kind": "label_flip", "ratio": 0.5})
+        raw[section] = payload
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIGS)
+    def test_any_yaml_mapping_parses_or_raises_config_error(self, raw):
+        try:
+            parse_config(raw)
+        except ConfigError:
+            pass
 
     @pytest.mark.parametrize("seeds", [3, "0", [0, "1"], [0.5], [True]])
     def test_seeds_must_be_a_list_of_ints(self, seeds):
@@ -388,6 +528,8 @@ class TestCli:
             lambda raw: raw["train"].update(batch_size=0),
             lambda raw: raw["train"].update(batch_size="a"),
             lambda raw: raw.update(seeds=3),
+            lambda raw: raw.update(model={"kind": "qmlp", "layers": "two"}),
+            lambda raw: raw["data"].update(per_class_test="3"),
         ],
         ids=[
             "channel_without_p",
@@ -395,6 +537,8 @@ class TestCli:
             "zero_batch_size",
             "string_batch_size",
             "scalar_seeds",
+            "string_model_layers",
+            "string_per_class_test",
         ],
     )
     def test_malformed_config_gives_one_error_line(self, tmp_path, edit):
@@ -468,3 +612,26 @@ class TestRunAllConfigs:
     )
     def test_subcommand_precedence(self, raw, want):
         assert cli.subcommand_for(raw) == want
+
+    def test_plan_reads_a_config_dir_by_name(self, tmp_path):
+        (tmp_path / "b.yaml").write_text(yaml.safe_dump({"attack": {"kind": "fgsm"}}))
+        (tmp_path / "a.yaml").write_text(yaml.safe_dump({"data": {"kind": "blobs"}}))
+        (tmp_path / "notes.txt").write_text("not a config")
+        plan = load_run_all_configs().plan(tmp_path)
+        assert plan == [("baseline", tmp_path / "a.yaml"), ("attack", tmp_path / "b.yaml")]
+
+    def test_seed_and_out_reach_each_cli_call(self, tmp_path):
+        module = load_run_all_configs()
+        args = module.parse_args(["--seed", "0", "--out", str(tmp_path)])
+        assert args.seed == 0 and args.out == tmp_path
+        path = Path("configs") / "fgsm.yaml"
+        assert module.cli_args("attack", path, args.seed, args.out) == [
+            "attack", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "fgsm"),
+        ]
+        defaults = module.parse_args([])
+        assert defaults.seed is None and defaults.out is None
+        assert module.cli_args("attack", path, defaults.seed, defaults.out) == [
+            "attack", "--config", str(path),
+        ]
+        with pytest.raises(SystemExit):
+            module.parse_args(["--seed", "one"])

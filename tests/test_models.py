@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmlrob import models, sim
+from qmlrob import models, sim, training
 from qmlrob.encoding import EncodingSpec
 from qmlrob.models import (
     CmlpConfig,
@@ -363,6 +363,137 @@ class TestOneForwardGradients:
         for i in range(4):
             gx = grad_input(m, X[i], int(y[i]), ce_with_grad)
             assert np.max(np.abs(dX[i] - w[i] * gx)) < 1e-12
+
+
+def per_instr_logits(model, X):
+    """Reference forward: every instruction applied on its own."""
+    instrs, psi = models._program(model, X)
+    for ins in instrs:
+        psi = models._apply_instr(psi, ins, models._instr_matrix(ins))
+    z = (np.abs(psi) ** 2) @ models._z_diags(model.config.n_qubits).T
+    return z, z @ model.params.head_w.T + model.params.head_b
+
+
+def per_instr_amplitude_input_grad(model, x, y):
+    """dL/dx of an amplitude-encoded QMLP with the bra carried back gate by
+    gate: lambda_0 = U^dagger O U psi_0, chained through x / ||x||."""
+    X = x[None, :]
+    instrs, init = models._program(model, X)
+    mats = [models._instr_matrix(ins) for ins in instrs]
+    psi = init
+    for ins, mat in zip(instrs, mats):
+        psi = models._apply_instr(psi, ins, mat)
+    zd = models._z_diags(model.config.n_qubits)
+    logits = ((np.abs(psi) ** 2) @ zd.T) @ model.params.head_w.T + model.params.head_b
+    _, dlogits = ce_with_grad(logits[0], y)
+    lam = ((dlogits @ model.params.head_w) @ zd) * psi
+    for ins, mat in zip(reversed(instrs), reversed(mats)):
+        lam = models._apply_instr(lam, ins, np.conj(mat.T))
+    norm = np.linalg.norm(x)
+    gr = 2.0 * lam.real[0, : len(x)]
+    return gr / norm - x * (gr @ x) / norm**3
+
+
+FUSION_CASES = {
+    "angle_1q": dict(layers=3, n=1, n_classes=2),
+    "angle_2q": dict(layers=2, n=2, n_classes=3),
+    "angle_2q_once": dict(layers=3, n=2, n_classes=3, reupload=False),
+    "angle_9q": dict(layers=2, n=9, n_classes=4),
+    "angle_9q_once": dict(layers=2, n=9, n_classes=4, reupload=False),
+    "amplitude_3q": dict(layers=2, n=3, n_classes=3, kind="amplitude"),
+}
+
+
+def fusion_case(name):
+    rng = np.random.default_rng(61)
+    if name == "qnn":
+        m = init_pqc6(Pqc6Config(n_qubits=3, layers=3, n_classes=3), np.random.default_rng(62))
+        return m, rng.uniform(-math.pi, math.pi, size=(3, 6))
+    m = make_qmlp(seed=63, **FUSION_CASES[name])
+    width = m.config.n_qubits if m.config.encoding.kind == "angle" else 2**m.config.n_qubits - 2
+    return m, rng.uniform(0.1, 1.2, size=(3, width))
+
+
+class TestGateFusion:
+    """Same-qubit gate runs fused into one block must leave logits and every
+    gradient where the per-instruction passes put them."""
+
+    @pytest.mark.parametrize("name", [*FUSION_CASES, "qnn"])
+    def test_logits_and_gradients_match_per_instruction_reference(self, name):
+        m, X = fusion_case(name)
+        y = np.arange(len(X)) % m.config.n_classes
+        w = np.linspace(0.5, 1.5, len(X))
+        logits, grads, dX = models.logits_and_grads(
+            m, X, lambda lg: softmax(lg) - np.eye(m.config.n_classes)[y], w
+        )
+        z, want_logits = per_instr_logits(m, X)
+        assert np.max(np.abs(logits - want_logits)) < 1e-12
+        assert np.max(np.abs(models.quantum_features(m, X) - z)) < 1e-12
+        want = sum(
+            wi * flatten_params(grad_params_shift(m, X[i], int(y[i]), ce_with_grad))
+            for i, wi in enumerate(w)
+        )
+        assert np.max(np.abs(flatten_params(grads) - want)) < 1e-12
+        for i, wi in enumerate(w):
+            if name.startswith("amplitude"):
+                gx = per_instr_amplitude_input_grad(m, X[i], int(y[i]))
+            else:
+                gx = grad_input_shift(m, X[i], int(y[i]), ce_with_grad)
+            assert np.max(np.abs(dX[i] - wi * gx)) < 1e-12
+
+    @pytest.mark.parametrize("noise", NOISE_TUPLES[:3], ids=["none", "depol", "damp_depol"])
+    @pytest.mark.parametrize("name", ["angle_1q", "angle_2q", "angle_2q_once", "amplitude_3q", "qnn"])
+    def test_mixed_features_match_per_gate_loop(self, name, noise):
+        m, X = fusion_case(name)
+        got = models.quantum_features(m, X, "mixed", noise)
+        assert np.max(np.abs(got - per_gate_mixed_features(m, X, noise))) < 1e-12
+
+    def test_gate_after_a_crx_on_its_qubit_opens_a_new_block(self):
+        prog = [
+            models._Instr("RY", (0,), 0.3, None),
+            models._Instr("RY", (1,), 0.4, None),
+            models._Instr("CRX", (0, 1), 0.5, None),
+            models._Instr("RZ", (0,), 0.6, None),
+            models._Instr("RZ", (1,), 0.7, None),
+        ]
+        blocks = models._fuse(prog)
+        assert [b.members for b in blocks] == [(ins,) for ins in prog]
+
+    def test_gates_on_other_qubits_keep_merging(self):
+        prog = [
+            models._Instr("RY", (0,), 0.3, None),
+            models._Instr("RX", (1,), 0.4, None),
+            models._Instr("CRX", (1, 2), 0.5, None),
+            models._Instr("RZ", (0,), 0.6, None),
+            models._Instr("RY", (2,), 0.7, None),
+            models._Instr("RY", (0,), 0.8, None),
+        ]
+        blocks = models._fuse(prog)
+        assert [b.targets for b in blocks] == [(0,), (1,), (1, 2), (2,)]
+        assert blocks[0].members == (prog[0], prog[3], prog[5])
+        want = sim._ry(0.8) @ sim._rz(0.6) @ sim._ry(0.3)
+        assert np.max(np.abs(blocks[0].mat - want)) < 1e-15
+        assert blocks[1].members == (prog[1],) and blocks[3].members == (prog[4],)
+
+    @pytest.mark.parametrize(
+        "model, width, count",
+        [
+            (make_qmlp(layers=2, n=9, n_classes=4), 9, 36),
+            (init_pqc6(Pqc6Config(), np.random.default_rng(0)), 8, 96),
+            (make_qmlp(layers=10, n=4, n_classes=4), 4, 80),
+        ],
+        ids=["qmlp_9q_2l", "qnn", "qmlp_4q_10l"],
+    )
+    def test_block_counts(self, model, width, count):
+        instrs, _ = models._program(model, np.full((2, width), 0.5))
+        assert len(models._fuse(instrs)) == count
+
+    def test_wide_gradient_makes_two_kernel_calls_per_block(self, kernel_calls):
+        m = make_qmlp(layers=2, n=9, n_classes=4, seed=64)
+        X = np.random.default_rng(65).uniform(0.1, 1.2, size=(3, 9))
+        tdist = np.eye(4)[np.arange(3) % 4]
+        training._batch_grads(m, X, tdist, np.full(3, 1 / 3))
+        assert kernel_calls[0] == 72
 
 
 class TestSpsa:

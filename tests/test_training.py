@@ -185,9 +185,9 @@ class TestTrainEpoch:
         assert np.array_equal(runs[0], runs[1])
 
     def test_adam_step_simulates_the_circuit_once(self, kernel_calls):
-        # One forward (1 call per instruction) plus the stacked adjoint sweep
-        # (generator + one inverse gate on ket and bra together): a second
-        # forward would add another call per instruction.
+        # One forward plus the stacked adjoint sweep stay within 3 kernel
+        # calls per instruction; TestGateFusion in test_models.py pins the
+        # exact count of two per fused block.
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(1))
         X = np.random.default_rng(2).uniform(-math.pi, math.pi, size=(8, 8))
         tdist = one_hot(np.arange(8) % 4, 4)
