@@ -13,7 +13,8 @@ import numpy as np
 
 from . import models
 from .datasets import Dataset
-from .encoding import EncodingSpec, encode_state
+# encode_state is unused here but stays a module attribute, which tracers wrap.
+from .encoding import EncodingSpec, encode_state, encode_states  # noqa: F401
 from .models import Model
 from .sim import DensityMatrix, KrausChannel
 from .training import one_hot, softmax
@@ -79,19 +80,21 @@ def label_flip(
     return dataset.with_labels(labels), records
 
 
-def class_centroids(dataset: Dataset, encoder: EncodingSpec) -> list[DensityMatrix]:
-    """Per-class mean projector of the encoder-only states."""
+def _centroids(states: np.ndarray, dataset: Dataset) -> np.ndarray:
+    """Per-class mean projectors [C, dim, dim] of the encoder states [N, dim]."""
     out = []
     for c in range(dataset.n_classes):
-        members = dataset.features[dataset.labels == c]
+        members = states[dataset.labels == c]
         if len(members) == 0:
             raise ValueError(f"class {c} is empty")
-        acc = np.zeros((2**encoder.n_qubits,) * 2, dtype=complex)
-        for x in members:
-            amps = encode_state(x, encoder).amplitudes
-            acc += np.outer(amps, amps.conj())
-        out.append(DensityMatrix(encoder.n_qubits, acc / len(members)))
-    return out
+        out.append(np.einsum("bi,bj->ij", members, members.conj()) / len(members))
+    return np.stack(out)
+
+
+def class_centroids(dataset: Dataset, encoder: EncodingSpec) -> list[DensityMatrix]:
+    """Per-class mean projector of the encoder-only states."""
+    cents = _centroids(encode_states(dataset.features, encoder), dataset)
+    return [DensityMatrix(encoder.n_qubits, c) for c in cents]
 
 
 def quid_poison(
@@ -104,26 +107,22 @@ def quid_poison(
     """Relabel selected samples by encoder-state overlap with the class
     centroids: by default to the least-similar other class (ties to the
     lowest class index); ``most_similar_wrong`` picks the nearest wrong class.
+    The training set is encoded once, as one batch.
     """
     if dataset.n_classes < 2:
         raise ValueError("poisoning needs at least 2 classes")
-    centroids = class_centroids(dataset, encoder)
-    cents = np.stack([c.entries for c in centroids])
+    states = encode_states(dataset.features, encoder)
+    cents = _centroids(states, dataset)
+    idx = _select_poison_indices(len(dataset), ratio, rng)
+    chosen = states[idx]
+    overlaps = np.einsum("bi,cij,bj->bc", chosen.conj(), cents, chosen).real
+    old = dataset.labels[idx]
+    least = variant == "least_similar"
+    overlaps[np.arange(len(idx)), old] = np.inf if least else -np.inf
+    new = np.argmin(overlaps, axis=1) if least else np.argmax(overlaps, axis=1)
     labels = dataset.labels.copy()
-    records = []
-    for i in _select_poison_indices(len(dataset), ratio, rng):
-        amps = encode_state(dataset.features[i], encoder).amplitudes
-        overlaps = np.einsum("i,cij,j->c", amps.conj(), cents, amps).real
-        old = int(labels[i])
-        overlaps = overlaps.copy()
-        if variant == "least_similar":
-            overlaps[old] = np.inf
-            new = int(np.argmin(overlaps))
-        else:
-            overlaps[old] = -np.inf
-            new = int(np.argmax(overlaps))
-        labels[i] = new
-        records.append(PoisonRecord(int(i), old, new))
+    labels[idx] = new
+    records = [PoisonRecord(int(i), int(o), int(n)) for i, o, n in zip(idx, old, new)]
     return dataset.with_labels(labels), records
 
 

@@ -4,11 +4,11 @@ Three model families: the re-uploading QMLP (angle or amplitude encoding,
 ring CRX entanglers), the 4-qubit dense-angle QNN with all-to-all CRX
 entanglers, and a one-hidden-layer classical MLP baseline.
 
-Every circuit pass works on blocks: a maximal run of single-qubit gates on
-one qubit is fused into one 2x2 matrix (one superoperator on the noisy path),
-and each two-qubit gate is a block of its own. Quantum gradients come from an
-adjoint backward sweep (exact for expectation readouts) that starts from the
-state of the one forward pass it also reads the logits from. Per block it
+A model's circuit is a list of ``sim.GateOp`` for a whole batch, with the
+encoder's gates and initial amplitudes from ``encoding``; every pass runs it
+as ``sim``'s fused blocks. Quantum gradients come from an adjoint backward
+sweep (exact for expectation readouts) that starts from the state of the one
+forward pass it also reads the logits from. Per block it
 reduces the ket and bra to a small local cross matrix, reads every member
 gate's gradient from it, and undoes the block with one kernel call. A
 parameter-shift path with the four-term rule for controlled rotations runs
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .encoding import EncodingSpec, amplitude_encode
-from .sim import CircuitSpec, GateOp, KrausChannel
+from .encoding import EncodingSpec, encoder_gates, initial_amplitudes
+from .sim import CircuitSpec, GateOp, KrausChannel, StateVector
 
 CHECKPOINT_VERSION = 1
 
@@ -192,136 +192,53 @@ def unflatten_params(template, vec: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Instr:
-    kind: str
-    targets: tuple[int, ...]
-    angles: np.ndarray | float | None
-    tag: tuple[str, int, float] | None  # ("theta"|"x", flat index, scale)
-
-
-def _rot_mats(kind: str, angles) -> np.ndarray:
-    th = np.asarray(angles, dtype=float)
-    c, s = np.cos(th / 2), np.sin(th / 2)
-    m = np.zeros(th.shape + (2, 2), dtype=complex)
-    if kind in ("RX", "CRX"):
-        m[..., 0, 0] = c
-        m[..., 0, 1] = -1j * s
-        m[..., 1, 0] = -1j * s
-        m[..., 1, 1] = c
-    elif kind == "RY":
-        m[..., 0, 0] = c
-        m[..., 0, 1] = -s
-        m[..., 1, 0] = s
-        m[..., 1, 1] = c
-    elif kind == "RZ":
-        m[..., 0, 0] = np.exp(-0.5j * th)
-        m[..., 1, 1] = np.exp(0.5j * th)
-    else:
-        raise AssertionError(kind)
-    return m
-
-
-def _instr_matrix(ins: _Instr) -> np.ndarray:
-    if ins.kind in sim.ROTATION_GATES:
-        return _rot_mats(ins.kind, ins.angles)
-    return GateOp(ins.kind, ins.targets).base_matrix()
-
-
-def _apply_instr(amps: np.ndarray, ins, mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` on the targets of ``ins`` (an instruction or a block):
-    on the one qubit, or on the target when the control bit is set."""
-    if len(ins.targets) == 1:
-        return sim.apply_1q(amps, mat, ins.targets[0])
-    return sim.apply_controlled_1q(amps, mat, ins.targets[0], ins.targets[1])
-
-
-def _apply_instr_dm(dm: np.ndarray, ins: _Instr) -> np.ndarray:
-    """Per-gate density-matrix pass: the reference for the fused noisy path."""
-    mat = _instr_matrix(ins)
-    conj = np.conj(mat)
-    if len(ins.targets) == 1:
-        t = ins.targets[0]
-        dm = np.swapaxes(sim.apply_1q(np.swapaxes(dm, -1, -2), mat, t), -1, -2)
-        return sim.apply_1q(dm, conj, t)
-    c, t = ins.targets
-    dm = np.swapaxes(
-        sim.apply_controlled_1q(np.swapaxes(dm, -1, -2), mat, c, t), -1, -2
-    )
-    return sim.apply_controlled_1q(dm, conj, c, t)
-
-
 def _qmlp_program(
     config: QmlpConfig, params: QmlpParams, X: np.ndarray
-) -> tuple[list[_Instr], np.ndarray]:
-    """Instruction list plus initial amplitudes [B, 2**n] for a batch X."""
+) -> tuple[list[GateOp], np.ndarray]:
+    """Gate list plus initial amplitudes [B, 2**n] for a batch X [B, F] (or
+    one input [F], with scalar encoding angles and amplitudes [2**n])."""
     n = config.n_qubits
-    dim = 2**n
     theta = params.theta
-    instrs: list[_Instr] = []
     kind = config.encoding.kind
-
-    if kind == "amplitude":
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("amplitude encoding of an all-zero vector is undefined")
-        init = np.zeros((X.shape[0], dim), dtype=complex)
-        init[:, : X.shape[1]] = X / norms[:, None]
-    elif kind == "angle":
-        init = np.zeros((X.shape[0], dim), dtype=complex)
-        init[:, 0] = 1.0
-    else:
+    if kind not in ("angle", "amplitude"):
         raise ValueError(f"QMLP does not support {kind!r} encoding")
-
-    def encode_block():
-        for q in range(X.shape[1]):
-            instrs.append(_Instr("RY", (q,), X[:, q], ("x", q, 1.0)))
-
+    encode = encoder_gates(X, kind, n)
+    ops: list[GateOp] = []
     for layer in range(config.layers):
-        if kind == "angle" and (config.reupload or layer == 0):
-            encode_block()
+        if config.reupload or layer == 0:
+            ops += encode
         base = (layer * n) * 3
         for q in range(n):
-            instrs.append(
-                _Instr("RY", (q,), float(theta[layer, q, 0]), ("theta", base + 3 * q, 1.0))
+            ops.append(
+                GateOp("RY", (q,), float(theta[layer, q, 0]), ("theta", base + 3 * q, 1.0))
             )
-            instrs.append(
-                _Instr("RZ", (q,), float(theta[layer, q, 1]), ("theta", base + 3 * q + 1, 1.0))
+            ops.append(
+                GateOp("RZ", (q,), float(theta[layer, q, 1]), ("theta", base + 3 * q + 1, 1.0))
             )
         if n > 1:
             for q in range(n):
-                instrs.append(
-                    _Instr(
+                ops.append(
+                    GateOp(
                         "CRX",
                         (q, (q + 1) % n),
                         float(theta[layer, q, 2]),
                         ("theta", base + 3 * q + 2, 1.0),
                     )
                 )
-    return instrs, init
+    return ops, initial_amplitudes(X, kind, n)
 
 
 def _pqc6_program(
     config: Pqc6Config, params: Pqc6Params, X: np.ndarray
-) -> tuple[list[_Instr], np.ndarray]:
+) -> tuple[list[GateOp], np.ndarray]:
     n = config.n_qubits
-    if X.shape[1] != 2 * n:
-        raise ValueError(f"QNN expects {2 * n} features, got {X.shape[1]}")
-    init = np.zeros((X.shape[0], 2**n), dtype=complex)
-    init[:, 0] = 1.0
-    instrs: list[_Instr] = []
-    for q in range(n):
-        a, b = X[:, 2 * q], X[:, 2 * q + 1]
-        instrs.append(_Instr("RZ", (q,), a, ("x", 2 * q, 1.0)))
-        instrs.append(_Instr("RX", (q,), b, ("x", 2 * q + 1, 1.0)))
-        instrs.append(_Instr("RZ", (q,), a / 2, ("x", 2 * q, 0.5)))
-        instrs.append(_Instr("RX", (q,), b / 2, ("x", 2 * q + 1, 0.5)))
+    ops = encoder_gates(X, "dense_angle", n)
     rot_size = config.layers * n * 3
     for layer in range(config.layers):
         for q in range(n):
             for k, g in enumerate(("RY", "RZ", "RX")):
-                instrs.append(
-                    _Instr(
+                ops.append(
+                    GateOp(
                         g,
                         (q,),
                         float(params.rot[layer, q, k]),
@@ -334,11 +251,11 @@ def _pqc6_program(
                 if c == t:
                     continue
                 flat = rot_size + layer * n * (n - 1) + j
-                instrs.append(
-                    _Instr("CRX", (c, t), float(params.ent[layer, j]), ("theta", flat, 1.0))
+                ops.append(
+                    GateOp("CRX", (c, t), float(params.ent[layer, j]), ("theta", flat, 1.0))
                 )
                 j += 1
-    return instrs, init
+    return ops, initial_amplitudes(X, "dense_angle", n)
 
 
 def _program(model: QuantumModel, X: np.ndarray):
@@ -347,76 +264,12 @@ def _program(model: QuantumModel, X: np.ndarray):
     return _pqc6_program(model.config, model.params, X)
 
 
-def _theta_grad_to_params(model: QuantumModel, flat: np.ndarray):
-    if isinstance(model, QmlpModel):
-        return flat.reshape(model.params.theta.shape)
-    rot_size = model.params.rot.size
-    return flat[:rot_size].reshape(model.params.rot.shape), flat[rot_size:].reshape(
-        model.params.ent.shape
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gate fusion. A block is a maximal run of single-qubit gates on one qubit,
-# with no instruction in between touching that qubit, or one two-qubit gate.
-# Gates on different qubits commute, so moving a run's later members back to
-# its first one is exact. The forward, the adjoint sweep and the noisy path
-# all walk the same blocks: one kernel call (or one superoperator) per block,
-# while each member keeps its own matrix and tag for the gradient.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Block:
-    targets: tuple[int, ...]
-    members: tuple[_Instr, ...]  # in circuit order
-    mats: tuple[np.ndarray, ...]  # each member's _instr_matrix
-    mat: np.ndarray  # mats[-1] @ ... @ mats[0]; one per sample if any member is
-
-
-def _fuse(instrs: list[_Instr]) -> list[_Block]:
-    runs: list[tuple[tuple[int, ...], list[_Instr], list[np.ndarray]]] = []
-    open_run: dict[int, int] = {}  # qubit -> index of its open single-qubit run
-    for ins in instrs:
-        mat = _instr_matrix(ins)
-        if len(ins.targets) == 1 and ins.targets[0] in open_run:
-            _, members, mats = runs[open_run[ins.targets[0]]]
-            members.append(ins)
-            mats.append(mat)
-            continue
-        for q in ins.targets:
-            open_run.pop(q, None)
-        if len(ins.targets) == 1:
-            open_run[ins.targets[0]] = len(runs)
-        runs.append((ins.targets, [ins], [mat]))
-    blocks = []
-    for targets, members, mats in runs:
-        fused = mats[0]
-        for mat in mats[1:]:
-            fused = mat @ fused
-        blocks.append(_Block(targets, tuple(members), tuple(mats), fused))
-    return blocks
-
-
-def _block_superop(block: _Block, noise: tuple[KrausChannel, ...]) -> np.ndarray:
-    """Product of the members' local superoperators, each gate followed by
-    the noise on its targets."""
-    s = None
-    for mat in block.mats:
-        u = mat if len(block.targets) == 1 else sim.controlled_unitary(mat)
-        sk = sim.local_superop(u, noise)
-        s = sk if s is None else sk @ s
-    return s
-
-
-def _instrs_to_ops(instrs: list[_Instr], b: int) -> tuple[GateOp, ...]:
-    ops = []
-    for ins in instrs:
-        ang = ins.angles
-        if isinstance(ang, np.ndarray):
-            ang = float(ang[b])
-        ops.append(GateOp(ins.kind, ins.targets, ang))
-    return tuple(ops)
+def _grad_tree(model: QuantumModel, dflat: np.ndarray, dhw: np.ndarray, dhb: np.ndarray):
+    """Parameter-tree gradients from ``dflat``, a flat parameter-sized vector
+    holding the angle gradients at their tag indices (the angle fields come
+    first, in order), and the head's gradients, which fill its tail."""
+    dflat[dflat.size - dhw.size - dhb.size :] = np.concatenate([dhw.ravel(), dhb])
+    return unflatten_params(model.params, dflat)
 
 
 def build_qmlp_circuit(
@@ -425,12 +278,11 @@ def build_qmlp_circuit(
     """Single-sample circuit: per-layer re-uploaded angle encoding (or a
     one-shot amplitude preparation) followed by RY/RZ rotations and a ring of
     CRX entanglers."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    instrs, _ = _qmlp_program(config, params, x)
+    ops, init = _qmlp_program(config, params, np.asarray(x, dtype=float))
     initial = None
     if config.encoding.kind == "amplitude":
-        initial = amplitude_encode(x[0], config.n_qubits)
-    return CircuitSpec(config.n_qubits, _instrs_to_ops(instrs, 0), initial_state=initial)
+        initial = StateVector(config.n_qubits, init)
+    return CircuitSpec(config.n_qubits, tuple(ops), initial_state=initial)
 
 
 def build_pqc6_circuit(
@@ -438,9 +290,8 @@ def build_pqc6_circuit(
 ) -> CircuitSpec:
     """Single-sample QNN circuit: dense-angle encoding once, then per layer
     RY/RZ/RX on every qubit and a CRX for every ordered qubit pair."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    instrs, _ = _pqc6_program(config, params, x)
-    return CircuitSpec(config.n_qubits, _instrs_to_ops(instrs, 0))
+    ops, _ = _pqc6_program(config, params, np.asarray(x, dtype=float))
+    return CircuitSpec(config.n_qubits, tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +303,11 @@ def _z_diags(n_qubits: int) -> np.ndarray:
     return np.stack([sim.z_diagonal(n_qubits, q) for q in range(n_qubits)])
 
 
-def _forward_amps(blocks: list[_Block], amps: np.ndarray) -> np.ndarray:
-    for block in blocks:
-        amps = _apply_instr(amps, block, block.mat)
-    return amps
+def _apply_instr_dm(dm: np.ndarray, ins: GateOp) -> np.ndarray:
+    """Per-gate density-matrix pass: the reference for the fused noisy path."""
+    mat = ins.base_matrix()
+    dm = np.swapaxes(sim._apply_instr(np.swapaxes(dm, -1, -2), ins, mat), -1, -2)
+    return sim._apply_instr(dm, ins, np.conj(mat))
 
 
 def quantum_features(
@@ -467,18 +319,17 @@ def quantum_features(
     """Per-qubit Pauli-Z expectations [B, n_qubits] for a batch."""
     X = np.asarray(X, dtype=float)
     n = model.config.n_qubits
-    instrs, init = _program(model, X)
+    ops, init = _program(model, X)
     zd = _z_diags(n)
     if mode == "pure":
         if noise:
             raise ValueError("pure mode requires an empty noise policy")
-        amps = _forward_amps(_fuse(instrs), init)
+        amps = sim._forward_amps(sim._fuse(ops), init)
         return (np.abs(amps) ** 2) @ zd.T
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
     dm = np.einsum("bi,bj->bij", init, init.conj())
-    for block in _fuse(instrs):
-        dm = sim.apply_local_superop(dm, _block_superop(block, noise), block.targets)
+    dm = sim._forward_dm(sim._fuse(ops), dm, noise)
     diag = np.einsum("bii->bi", dm).real
     return diag @ zd.T
 
@@ -564,18 +415,18 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_backward(
-    blocks: list[_Block],
+    blocks: list[sim._Block],
     psi_final: np.ndarray,
     lam: np.ndarray,
-    n_theta: int,
+    n_params: int,
     n_features: int,
     sample_scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dtheta [n_theta], dX [B, n_features], final bra); per-sample
-    gate grads are reduced into dtheta with ``sample_scale`` weights.
-    ``blocks`` are the forward pass's."""
+    """Returns (dtheta [n_params], dX [B, n_features], final bra); per-sample
+    gate grads are reduced into dtheta at their tag indices with
+    ``sample_scale`` weights. ``blocks`` are the forward pass's."""
     state = np.stack([psi_final, lam], axis=1)  # [B, 2, dim]: ket, bra
-    dtheta = np.zeros(n_theta)
+    dtheta = np.zeros(n_params)
     dX = np.zeros((psi_final.shape[0], n_features))
     for block in reversed(blocks):
         m = None
@@ -595,7 +446,7 @@ def _adjoint_backward(
                 else:
                     dX[:, idx] += scale * sample_scale * np.sum(gen_t * m, axis=(-2, -1)).imag
             after = mat if after is None else after @ mat
-        state = _apply_instr(state, block, _dagger(block.mat))
+        state = sim._apply_instr(state, block, _dagger(block.mat))
     return dtheta, dX, state[:, 1]
 
 
@@ -615,9 +466,9 @@ def _quantum_backward(
     n = model.config.n_qubits
     head_w = model.params.head_w
 
-    instrs, init = _program(model, X)
-    blocks = _fuse(instrs)
-    psi = _forward_amps(blocks, init)
+    ops, init = _program(model, X)
+    blocks = sim._fuse(ops)
+    psi = sim._forward_amps(blocks, init)
     zd = _z_diags(n)
     z = (np.abs(psi) ** 2) @ zd.T
     logits = z @ head_w.T + model.params.head_b
@@ -627,12 +478,8 @@ def _quantum_backward(
     diag = obs_w @ zd  # [B, dim]
     lam = diag * psi
 
-    n_theta = (
-        model.params.theta.size
-        if isinstance(model, QmlpModel)
-        else model.params.rot.size + model.params.ent.size
-    )
-    dtheta, dX, lam0 = _adjoint_backward(blocks, psi, lam, n_theta, X.shape[1], w)
+    n_params = flatten_params(model.params).size
+    dflat, dX, lam0 = _adjoint_backward(blocks, psi, lam, n_params, X.shape[1], w)
 
     if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
         # d<O>/dv through v/||v||, v = zero-padded x (grads are real-valued).
@@ -643,12 +490,7 @@ def _quantum_backward(
 
     dhw = (dlogits * w[:, None]).T @ z
     dhb = (dlogits * w[:, None]).sum(axis=0)
-    if isinstance(model, QmlpModel):
-        grads = QmlpParams(dtheta.reshape(model.params.theta.shape), dhw, dhb)
-    else:
-        drot, dent = _theta_grad_to_params(model, dtheta)
-        grads = Pqc6Params(drot, dent, dhw, dhb)
-    return logits, grads, dX
+    return logits, _grad_tree(model, dflat, dhw, dhb), dX
 
 
 def logits_and_grads(
@@ -704,14 +546,14 @@ _SHIFT_C2 = (np.sqrt(2) - 1) / (4 * np.sqrt(2))
 def _z_of_instrs(model, instrs, init) -> np.ndarray:
     psi = init
     for ins in instrs:
-        psi = _apply_instr(psi, ins, _instr_matrix(ins))
+        psi = sim._apply_instr(psi, ins, ins.base_matrix())
     return ((np.abs(psi) ** 2) @ _z_diags(model.config.n_qubits).T)[0]
 
 
 def _shifted(instrs, i, delta):
     ins = instrs[i]
     out = list(instrs)
-    out[i] = _Instr(ins.kind, ins.targets, ins.angles + delta, ins.tag)
+    out[i] = GateOp(ins.kind, ins.targets, ins.angle + delta, ins.tag)
     return out
 
 
@@ -735,12 +577,7 @@ def _shift_grads(model: QuantumModel, x, y, loss_fn):
     _, dlogits = loss_fn(logits, y)
     obs_w = dlogits @ model.params.head_w  # dL/dz
 
-    n_theta = (
-        model.params.theta.size
-        if isinstance(model, QmlpModel)
-        else model.params.rot.size + model.params.ent.size
-    )
-    dtheta = np.zeros(n_theta)
+    dflat = np.zeros(flatten_params(model.params).size)
     dx = np.zeros(x.shape[1])
 
     def dz(i, shift):
@@ -758,19 +595,12 @@ def _shift_grads(model: QuantumModel, x, y, loss_fn):
         g = float(obs_w @ dz_dang)
         what, idx, scale = ins.tag
         if what == "theta":
-            dtheta[idx] += scale * g
+            dflat[idx] += scale * g
         else:
             dx[idx] += scale * g
 
     z = quantum_features(model, x)
-    dhw = np.outer(dlogits, z[0])
-    dhb = dlogits.copy()
-    if isinstance(model, QmlpModel):
-        grads = QmlpParams(dtheta.reshape(model.params.theta.shape), dhw, dhb)
-    else:
-        drot, dent = _theta_grad_to_params(model, dtheta)
-        grads = Pqc6Params(drot, dent, dhw, dhb)
-    return grads, dx
+    return _grad_tree(model, dflat, np.outer(dlogits, z[0]), dlogits.copy()), dx
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ rho[i, j]``, so ``rho'[i, j] = sum_{k, l} S[i*d + j, k*d + l] rho[k, l]``. A
 unitary contributes ``kron(U, conj(U))``; channels multiply it from the left
 in the order they act.
 
+``GateOp`` is the one gate type; its angle may be per sample, so one gate
+list describes a whole batch. Every circuit pass runs the fused blocks of
+``_fuse`` (see there): one kernel call, or one superoperator, per block.
+
 Measurement is an exact expectation value; there is no shot sampling.
 """
 
@@ -41,33 +45,25 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _I = np.eye(2, dtype=complex)
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-    )
+_FIXED_GATES = {"X": _X, "CX": _X, "Y": _Y, "Z": _Z, "H": _H}
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: kind, optional rotation angle, target qubits.
+    """One gate application: kind, target qubits, optional rotation angle and
+    optional gradient tag.
 
     ``targets`` holds one index for single-qubit gates and (control, target)
-    for CX/CRX.
+    for CX/CRX. ``angle`` is a float shared by every sample, or a ``[B]``
+    array with one angle per sample of a batch. ``tag`` is ("theta"|"x",
+    flat index, scale): the parameter or input feature the angle came from,
+    with its chain-rule scale.
     """
 
     kind: str
     targets: tuple[int, ...]
-    angle: float | None = None
+    angle: float | np.ndarray | None = None
+    tag: tuple[str, int, float] | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -81,25 +77,27 @@ class GateOp:
             raise ValueError(f"{self.kind} requires an angle")
 
     def base_matrix(self) -> np.ndarray:
-        """The 2x2 matrix acting on the target qubit (conditioned on control
-        for CX/CRX)."""
-        if self.kind == "X" or self.kind == "CX":
-            return _X
-        if self.kind == "Y":
-            return _Y
-        if self.kind == "Z":
-            return _Z
-        if self.kind == "H":
-            return _H
-        if self.kind == "RX":
-            return _rx(self.angle)
-        if self.kind == "RY":
-            return _ry(self.angle)
-        if self.kind == "RZ":
-            return _rz(self.angle)
-        if self.kind == "CRX":
-            return _rx(self.angle)
-        raise AssertionError(self.kind)
+        """The matrix acting on the target qubit (conditioned on the control
+        for CX/CRX): ``[2, 2]``, or ``[B, 2, 2]`` for per-sample angles."""
+        if self.kind not in ROTATION_GATES:
+            return _FIXED_GATES[self.kind]
+        th = np.asarray(self.angle, dtype=float)
+        c, s = np.cos(th / 2), np.sin(th / 2)
+        m = np.zeros(th.shape + (2, 2), dtype=complex)
+        if self.kind in ("RX", "CRX"):
+            m[..., 0, 0] = c
+            m[..., 0, 1] = -1j * s
+            m[..., 1, 0] = -1j * s
+            m[..., 1, 1] = c
+        elif self.kind == "RY":
+            m[..., 0, 0] = c
+            m[..., 0, 1] = -s
+            m[..., 1, 0] = s
+            m[..., 1, 1] = c
+        else:
+            m[..., 0, 0] = np.exp(-0.5j * th)
+            m[..., 1, 1] = np.exp(0.5j * th)
+        return m
 
 
 def controlled_unitary(mat: np.ndarray) -> np.ndarray:
@@ -296,27 +294,24 @@ def apply_controlled_1q(
     return a.reshape(shape)
 
 
-def apply_gate_amps(amps: np.ndarray, op: GateOp) -> np.ndarray:
-    if op.kind in SINGLE_QUBIT_GATES:
-        return apply_1q(amps, op.base_matrix(), op.targets[0])
-    return apply_controlled_1q(amps, op.base_matrix(), op.targets[0], op.targets[1])
+def _apply_instr(amps: np.ndarray, ins, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` on the targets of ``ins`` (a gate or a block): on the one
+    qubit, or on the target when the control bit is set."""
+    if len(ins.targets) == 1:
+        return apply_1q(amps, mat, ins.targets[0])
+    return apply_controlled_1q(amps, mat, ins.targets[0], ins.targets[1])
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate to a pure state; returns a new state."""
-    for t in gate.targets:
-        if not 0 <= t < state.n_qubits:
-            raise ValueError(f"target {t} out of range for {state.n_qubits} qubits")
-    return StateVector(state.n_qubits, apply_gate_amps(state.amplitudes, gate))
+    circuit = CircuitSpec(state.n_qubits, (gate,))
+    return StateVector(state.n_qubits, run_circuit_amps(circuit, state.amplitudes))
 
 
 def apply_gate_dm(dm: DensityMatrix, gate: GateOp) -> DensityMatrix:
     """Conjugate a density matrix by one gate; returns a new matrix."""
-    for t in gate.targets:
-        if not 0 <= t < dm.n_qubits:
-            raise ValueError(f"target {t} out of range for {dm.n_qubits} qubits")
-    s = local_superop(gate_unitary(gate))
-    return DensityMatrix(dm.n_qubits, apply_local_superop(dm.entries, s, gate.targets))
+    circuit = CircuitSpec(dm.n_qubits, (gate,))
+    return DensityMatrix(dm.n_qubits, run_circuit_dm(circuit, dm.entries))
 
 
 _SUPEROP_CACHE: dict[tuple[str, float], np.ndarray] = {}
@@ -419,6 +414,73 @@ def apply_local_superop(dm: np.ndarray, s: np.ndarray, targets: tuple[int, ...])
 
 
 # ---------------------------------------------------------------------------
+# Gate fusion. A block is a maximal run of single-qubit gates on one qubit,
+# with no gate in between touching that qubit, or one two-qubit gate. Gates
+# on different qubits commute, so moving a run's later members back to its
+# first one is exact. The forward, the adjoint sweep and the noisy path all
+# walk the same blocks: one kernel call (or one superoperator) per block,
+# while each member keeps its own matrix and tag for the gradient.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Block:
+    targets: tuple[int, ...]
+    members: tuple[GateOp, ...]  # in circuit order
+    mats: tuple[np.ndarray, ...]  # each member's base_matrix()
+    mat: np.ndarray  # mats[-1] @ ... @ mats[0]; one per sample if any member is
+
+
+def _fuse(ops) -> list[_Block]:
+    runs: list[tuple[tuple[int, ...], list[GateOp], list[np.ndarray]]] = []
+    open_run: dict[int, int] = {}  # qubit -> index of its open single-qubit run
+    for op in ops:
+        mat = op.base_matrix()
+        if len(op.targets) == 1 and op.targets[0] in open_run:
+            _, members, mats = runs[open_run[op.targets[0]]]
+            members.append(op)
+            mats.append(mat)
+            continue
+        for q in op.targets:
+            open_run.pop(q, None)
+        if len(op.targets) == 1:
+            open_run[op.targets[0]] = len(runs)
+        runs.append((op.targets, [op], [mat]))
+    blocks = []
+    for targets, members, mats in runs:
+        fused = mats[0]
+        for mat in mats[1:]:
+            fused = mat @ fused
+        blocks.append(_Block(targets, tuple(members), tuple(mats), fused))
+    return blocks
+
+
+def _block_superop(block: _Block, noise: tuple[KrausChannel, ...]) -> np.ndarray:
+    """Product of the members' local superoperators, each gate followed by
+    the noise on its targets."""
+    s = None
+    for mat in block.mats:
+        u = mat if len(block.targets) == 1 else controlled_unitary(mat)
+        sk = local_superop(u, noise)
+        s = sk if s is None else sk @ s
+    return s
+
+
+def _forward_amps(blocks: list[_Block], amps: np.ndarray) -> np.ndarray:
+    for block in blocks:
+        amps = _apply_instr(amps, block, block.mat)
+    return amps
+
+
+def _forward_dm(
+    blocks: list[_Block], dm: np.ndarray, noise: tuple[KrausChannel, ...]
+) -> np.ndarray:
+    for block in blocks:
+        dm = apply_local_superop(dm, _block_superop(block, noise), block.targets)
+    return dm
+
+
+# ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
 
@@ -462,29 +524,25 @@ def state_fidelity(a: StateVector, b: StateVector) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _start_state(circuit: CircuitSpec) -> StateVector:
+    if circuit.initial_state is not None:
+        return circuit.initial_state
+    return zero_state(circuit.n_qubits)
+
+
 def run_circuit_amps(circuit: CircuitSpec, amps: np.ndarray | None = None) -> np.ndarray:
     """Noiseless statevector pass; ``amps`` may be batched."""
     if amps is None:
-        if circuit.initial_state is not None:
-            amps = circuit.initial_state.amplitudes.copy()
-        else:
-            amps = zero_state(circuit.n_qubits).amplitudes
-    for op in circuit.ops:
-        amps = apply_gate_amps(amps, op)
-    return amps
+        amps = _start_state(circuit).amplitudes.copy()
+    return _forward_amps(_fuse(circuit.ops), amps)
 
 
 def run_circuit_dm(circuit: CircuitSpec, dm: np.ndarray | None = None) -> np.ndarray:
     """Density-matrix pass with the per-gate noise policy; ``dm`` may be
     batched."""
     if dm is None:
-        if circuit.initial_state is not None:
-            dm = pure_to_dm(circuit.initial_state).entries.copy()
-        else:
-            dm = pure_to_dm(zero_state(circuit.n_qubits)).entries.copy()
-    for op in circuit.ops:
-        dm = apply_local_superop(dm, local_superop(gate_unitary(op), circuit.noise), op.targets)
-    return dm
+        dm = pure_to_dm(_start_state(circuit)).entries
+    return _forward_dm(_fuse(circuit.ops), dm, circuit.noise)
 
 
 def run_circuit(circuit: CircuitSpec, mode: str) -> StateVector | DensityMatrix:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmlrob import models
+from qmlrob import models, sim
 from qmlrob.attacks import (
     AttackConfig,
     PoisonRecord,
@@ -20,7 +20,7 @@ from qmlrob.attacks import (
     write_poison_manifest,
 )
 from qmlrob.datasets import Dataset, synth_blobs
-from qmlrob.encoding import EncodingSpec, encode_state
+from qmlrob.encoding import EncodingSpec, encode_state, encode_states
 from qmlrob.models import CmlpConfig, CmlpModel, CmlpParams, Pqc6Config, init_cmlp, init_pqc6
 
 
@@ -100,6 +100,22 @@ class TestCentroids:
         eig = np.linalg.eigvalsh(cents[0].entries)
         assert np.allclose(eig, [0.5, 0.5], atol=1e-12)
         assert np.trace(cents[0].entries).real == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "enc, width",
+        [(EncodingSpec("angle", 3, (0.0, math.pi)), 3), (EncodingSpec("dense_angle", 2, (-math.pi, math.pi)), 4)],
+        ids=["angle", "dense_angle"],
+    )
+    def test_matches_per_sample_outer_accumulation(self, enc, width):
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.uniform(-1.0, 2.0, size=(15, width)), np.arange(15) % 3)
+        states = encode_states(ds.features, enc)
+        cents = class_centroids(ds, enc)
+        for c in range(3):
+            acc = np.zeros((2**enc.n_qubits,) * 2, dtype=complex)
+            for amps in states[ds.labels == c]:
+                acc += np.outer(amps, amps.conj())
+            assert np.max(np.abs(cents[c].entries - acc / 5)) <= 1e-12
 
     def test_empty_class_rejected(self):
         ds = Dataset(np.array([[0.1], [0.2]]), np.array([0, 2]))
@@ -227,14 +243,15 @@ class TestPgd:
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_iteration_simulates_the_circuit_once(self, kernel_calls):
-        # One forward plus the stacked adjoint sweep per iteration: at most 3
-        # kernel calls per instruction (two per fused block, see
-        # TestGateFusion in test_models.py).
+        # One forward plus the stacked adjoint sweep per iteration: exactly
+        # one kernel call per fused block each way. A second forward would
+        # add 96.
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(3))
         X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 8))
-        n_instr = len(models._program(m, X)[0])
+        n_blocks = len(sim._fuse(models._program(m, X)[0]))
+        assert n_blocks == 96
         pgd(m, X, np.arange(5) % 4, 0.1, 0.05, 1, (-math.pi, math.pi))
-        assert 0 < kernel_calls[0] <= 3 * n_instr
+        assert kernel_calls[0] == 2 * n_blocks
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):

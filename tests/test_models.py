@@ -369,7 +369,7 @@ def per_instr_logits(model, X):
     """Reference forward: every instruction applied on its own."""
     instrs, psi = models._program(model, X)
     for ins in instrs:
-        psi = models._apply_instr(psi, ins, models._instr_matrix(ins))
+        psi = sim._apply_instr(psi, ins, ins.base_matrix())
     z = (np.abs(psi) ** 2) @ models._z_diags(model.config.n_qubits).T
     return z, z @ model.params.head_w.T + model.params.head_b
 
@@ -379,16 +379,16 @@ def per_instr_amplitude_input_grad(model, x, y):
     gate: lambda_0 = U^dagger O U psi_0, chained through x / ||x||."""
     X = x[None, :]
     instrs, init = models._program(model, X)
-    mats = [models._instr_matrix(ins) for ins in instrs]
+    mats = [ins.base_matrix() for ins in instrs]
     psi = init
     for ins, mat in zip(instrs, mats):
-        psi = models._apply_instr(psi, ins, mat)
+        psi = sim._apply_instr(psi, ins, mat)
     zd = models._z_diags(model.config.n_qubits)
     logits = ((np.abs(psi) ** 2) @ zd.T) @ model.params.head_w.T + model.params.head_b
     _, dlogits = ce_with_grad(logits[0], y)
     lam = ((dlogits @ model.params.head_w) @ zd) * psi
     for ins, mat in zip(reversed(instrs), reversed(mats)):
-        lam = models._apply_instr(lam, ins, np.conj(mat.T))
+        lam = sim._apply_instr(lam, ins, np.conj(mat.T))
     norm = np.linalg.norm(x)
     gr = 2.0 * lam.real[0, : len(x)]
     return gr / norm - x * (gr @ x) / norm**3
@@ -450,28 +450,28 @@ class TestGateFusion:
 
     def test_gate_after_a_crx_on_its_qubit_opens_a_new_block(self):
         prog = [
-            models._Instr("RY", (0,), 0.3, None),
-            models._Instr("RY", (1,), 0.4, None),
-            models._Instr("CRX", (0, 1), 0.5, None),
-            models._Instr("RZ", (0,), 0.6, None),
-            models._Instr("RZ", (1,), 0.7, None),
+            sim.GateOp("RY", (0,), 0.3),
+            sim.GateOp("RY", (1,), 0.4),
+            sim.GateOp("CRX", (0, 1), 0.5),
+            sim.GateOp("RZ", (0,), 0.6),
+            sim.GateOp("RZ", (1,), 0.7),
         ]
-        blocks = models._fuse(prog)
+        blocks = sim._fuse(prog)
         assert [b.members for b in blocks] == [(ins,) for ins in prog]
 
-    def test_gates_on_other_qubits_keep_merging(self):
+    def test_gates_on_other_qubits_keep_merging(self, rotation_oracle):
         prog = [
-            models._Instr("RY", (0,), 0.3, None),
-            models._Instr("RX", (1,), 0.4, None),
-            models._Instr("CRX", (1, 2), 0.5, None),
-            models._Instr("RZ", (0,), 0.6, None),
-            models._Instr("RY", (2,), 0.7, None),
-            models._Instr("RY", (0,), 0.8, None),
+            sim.GateOp("RY", (0,), 0.3),
+            sim.GateOp("RX", (1,), 0.4),
+            sim.GateOp("CRX", (1, 2), 0.5),
+            sim.GateOp("RZ", (0,), 0.6),
+            sim.GateOp("RY", (2,), 0.7),
+            sim.GateOp("RY", (0,), 0.8),
         ]
-        blocks = models._fuse(prog)
+        blocks = sim._fuse(prog)
         assert [b.targets for b in blocks] == [(0,), (1,), (1, 2), (2,)]
         assert blocks[0].members == (prog[0], prog[3], prog[5])
-        want = sim._ry(0.8) @ sim._rz(0.6) @ sim._ry(0.3)
+        want = rotation_oracle("RY", 0.8) @ rotation_oracle("RZ", 0.6) @ rotation_oracle("RY", 0.3)
         assert np.max(np.abs(blocks[0].mat - want)) < 1e-15
         assert blocks[1].members == (prog[1],) and blocks[3].members == (prog[4],)
 
@@ -486,7 +486,7 @@ class TestGateFusion:
     )
     def test_block_counts(self, model, width, count):
         instrs, _ = models._program(model, np.full((2, width), 0.5))
-        assert len(models._fuse(instrs)) == count
+        assert len(sim._fuse(instrs)) == count
 
     def test_wide_gradient_makes_two_kernel_calls_per_block(self, kernel_calls):
         m = make_qmlp(layers=2, n=9, n_classes=4, seed=64)

@@ -92,6 +92,19 @@ class TestGates:
         u = gate_unitary(GateOp("CRX", (0, 1), theta))
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CRX"])
+    def test_rotation_matches_closed_form(self, kind, rotation_oracle):
+        targets = (0, 1) if kind == "CRX" else (0,)
+        angles = np.array([-2.5, -0.3, 0.0, 0.7, math.pi, 4.0])
+        for theta in angles:
+            got = GateOp(kind, targets, float(theta)).base_matrix()
+            assert got.shape == (2, 2)
+            assert np.max(np.abs(got - rotation_oracle(kind, theta))) < 1e-15
+        batch = GateOp(kind, targets, angles).base_matrix()
+        assert batch.shape == (len(angles), 2, 2)
+        want = np.stack([rotation_oracle(kind, t) for t in angles])
+        assert np.max(np.abs(batch - want)) < 1e-15
+
     def test_fixed_gates_unitary(self):
         for kind in ("X", "Y", "Z", "H"):
             u = GateOp(kind, (0,)).base_matrix()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmlrob import models, training
+from qmlrob import models, sim, training
 from qmlrob.datasets import Dataset, synth_blobs
 from qmlrob.encoding import EncodingSpec
 from qmlrob.models import (
@@ -185,15 +185,15 @@ class TestTrainEpoch:
         assert np.array_equal(runs[0], runs[1])
 
     def test_adam_step_simulates_the_circuit_once(self, kernel_calls):
-        # One forward plus the stacked adjoint sweep stay within 3 kernel
-        # calls per instruction; TestGateFusion in test_models.py pins the
-        # exact count of two per fused block.
+        # One forward plus the stacked adjoint sweep: exactly one kernel call
+        # per fused block each way. A second forward would add 96.
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(1))
         X = np.random.default_rng(2).uniform(-math.pi, math.pi, size=(8, 8))
         tdist = one_hot(np.arange(8) % 4, 4)
-        n_instr = len(models._program(m, X)[0])
+        n_blocks = len(sim._fuse(models._program(m, X)[0]))
+        assert n_blocks == 96
         training._batch_grads(m, X, tdist, np.full(8, 1 / 8))
-        assert 0 < kernel_calls[0] <= 3 * n_instr
+        assert kernel_calls[0] == 2 * n_blocks
 
     def test_empty_dataset_rejected(self):
         ds = blob_sets()
