@@ -8,6 +8,7 @@ identical configs reproduce byte-identical machine-readable tables.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -344,8 +345,6 @@ def config_echo(config: ExperimentConfig) -> dict:
             return [scrub(v) for v in obj]
         return obj
 
-    import dataclasses
-
     return scrub(dataclasses.asdict(config))
 
 
@@ -404,7 +403,6 @@ def _build_model(config: ExperimentConfig, n_features: int, n_classes: int, rng)
         return models_mod.init_pqc6(
             models_mod.Pqc6Config(n_qubits=spec.n_qubits, n_classes=n_classes), rng
         )
-    enc = EncodingSpec(spec.encoding, spec.n_qubits, spec.resolved_range())
     if spec.encoding == "angle" and n_features > spec.n_qubits:
         raise ConfigError(
             f"angle encoding on {spec.n_qubits} qubits takes at most "
@@ -413,7 +411,7 @@ def _build_model(config: ExperimentConfig, n_features: int, n_classes: int, rng)
     return models_mod.init_qmlp(
         models_mod.QmlpConfig(
             layers=spec.layers,
-            encoding=enc,
+            encoding=_encoder_spec(config),
             n_classes=n_classes,
             n_qubits=spec.n_qubits,
             reupload=spec.reupload if spec.encoding == "angle" else False,
@@ -438,24 +436,43 @@ def _eval_modes(config: ExperimentConfig):
     return modes
 
 
-def _train_seeded(config, model, train_ds, n_classes, train_seed, log_path, weights=None):
-    cfg = training_mod.TrainConfig(
-        **{
-            **config.train.__dict__,
-            "seed": train_seed,
-        }
+def _train_seeded(config, train_ds, init_seq, train_seed, log_path, defense_seed=None):
+    """Build a model from the seed's init stream and train it with the seed's
+    training stream, through the reweighting defense when given its seed.
+    Returns (model, history): fit's per-epoch stats, or the defense's weights."""
+    n_classes = config.data.n_classes
+    model = _build_model(
+        config, train_ds.features.shape[1], n_classes, np.random.default_rng(init_seq)
     )
+    cfg = dataclasses.replace(config.train, seed=train_seed)
     train_noise = config.mode.build_channels() if config.train_mode == "mixed" else ()
-    return training_mod.fit(
-        model,
-        train_ds,
-        cfg,
-        mode=config.train_mode,
-        noise=train_noise,
-        sample_weights=weights,
-        log_path=log_path,
-        n_classes=n_classes,
+    if defense_seed is None:
+        return training_mod.fit(
+            model, train_ds, cfg, config.train_mode, train_noise,
+            log_path=log_path, n_classes=n_classes,
+        )
+    return defense_mod.defended_train(
+        model, train_ds, cfg, dataclasses.replace(config.defense, seed=defense_seed),
+        config.train_mode, train_noise, n_classes=n_classes, log_path=log_path,
     )
+
+
+def _rows(config, seed, condition, model, test_ds, base_acc=None, asr=None,
+          modes=None) -> list[ReportRow]:
+    """Evaluate ``model`` on ``test_ds`` under each eval mode (default: the
+    config's) and build its rows. Without ``base_acc`` the rows are baseline
+    rows (relative accuracy 1.0, no ASR); otherwise the ASR cell is
+    ``asr(model, mode, channels)``."""
+    rows = []
+    for mode_name, channels in modes or _eval_modes(config):
+        m = training_mod.evaluate(model, test_ds, mode_name, channels)
+        if base_acc is None:
+            rel, rate = 1.0, None
+        else:
+            rel = relative_accuracy(m.accuracy, base_acc[mode_name])
+            rate = asr(model, mode_name, channels)
+        rows.append(ReportRow(seed, config.model.kind, condition, mode_name, m, rel, rate))
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -475,21 +492,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
         train_ds, test_ds, rng_range = _prepare_data(config, data_rng)
         n_classes = config.data.n_classes
-        n_features = train_ds.features.shape[1]
 
-        baseline = _build_model(
-            config, n_features, n_classes, np.random.default_rng(init_seq)
-        )
         baseline, _ = _train_seeded(
-            config, baseline, train_ds, n_classes, train_seed, seed_dir / "train_log.tsv"
+            config, train_ds, init_seq, train_seed, seed_dir / "train_log.tsv"
         )
-        base_acc = {}
-        for mode_name, channels in _eval_modes(config):
-            m = training_mod.evaluate(baseline, test_ds, mode_name, channels)
-            base_acc[mode_name] = m.accuracy
-            rows.append(
-                ReportRow(seed, config.model.kind, "baseline", mode_name, m, 1.0, None)
-            )
+        base_rows = _rows(config, seed, "baseline", baseline, test_ds)
+        rows += base_rows
+        base_acc = {r.eval_mode: r.metrics.accuracy for r in base_rows}
 
         if config.attack is None:
             continue
@@ -505,82 +514,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     train_ds, _encoder_spec(config), atk.ratio, attack_rng, atk.quid_variant
                 )
             attacks_mod.write_poison_manifest(records, seed_dir / "poison_manifest.txt")
-            attacked = _build_model(
-                config, n_features, n_classes, np.random.default_rng(init_seq)
-            )
-            attacked, _ = _train_seeded(
-                config,
-                attacked,
-                poisoned,
-                n_classes,
-                train_seed,
-                seed_dir / "attacked_train_log.tsv",
-            )
-            for mode_name, channels in _eval_modes(config):
-                m = training_mod.evaluate(attacked, test_ds, mode_name, channels)
-                asr = (
-                    attacks_mod.poison_success_rate(
-                        attacked, train_ds.features, records, mode_name, channels
-                    )
-                    if records
-                    else 0.0
-                )
-                rows.append(
-                    ReportRow(
-                        seed,
-                        config.model.kind,
-                        "attacked",
-                        mode_name,
-                        m,
-                        relative_accuracy(m.accuracy, base_acc[mode_name]),
-                        asr,
-                    )
-                )
-            if config.defense is not None:
-                import dataclasses
 
-                defended = _build_model(
-                    config, n_features, n_classes, np.random.default_rng(init_seq)
+            def poison_asr(model, mode_name, channels):
+                if not records:
+                    return 0.0
+                return attacks_mod.poison_success_rate(
+                    model, train_ds.features, records, mode_name, channels
                 )
-                dcfg = dataclasses.replace(config.defense, seed=defense_seed)
-                tcfg = training_mod.TrainConfig(
-                    **{**config.train.__dict__, "seed": train_seed}
-                )
-                train_noise = (
-                    config.mode.build_channels() if config.train_mode == "mixed" else ()
-                )
-                defended, weight_history = defense_mod.defended_train(
-                    defended,
-                    poisoned,
-                    tcfg,
-                    dcfg,
-                    mode=config.train_mode,
-                    noise=train_noise,
-                    n_classes=n_classes,
+
+            attacked, _ = _train_seeded(
+                config, poisoned, init_seq, train_seed, seed_dir / "attacked_train_log.tsv"
+            )
+            rows += _rows(config, seed, "attacked", attacked, test_ds, base_acc, poison_asr)
+            if config.defense is not None:
+                defended, weight_history = _train_seeded(
+                    config, poisoned, init_seq, train_seed,
+                    seed_dir / "defended_train_log.tsv", defense_seed,
                 )
                 defense_mod.write_weight_history(
                     weight_history, seed_dir / "weight_history.tsv"
                 )
-                for mode_name, channels in _eval_modes(config):
-                    m = training_mod.evaluate(defended, test_ds, mode_name, channels)
-                    asr = (
-                        attacks_mod.poison_success_rate(
-                            defended, train_ds.features, records, mode_name, channels
-                        )
-                        if records
-                        else 0.0
-                    )
-                    rows.append(
-                        ReportRow(
-                            seed,
-                            config.model.kind,
-                            "defended",
-                            mode_name,
-                            m,
-                            relative_accuracy(m.accuracy, base_acc[mode_name]),
-                            asr,
-                        )
-                    )
+                rows += _rows(
+                    config, seed, "defended", defended, test_ds, base_acc, poison_asr
+                )
         else:
             if atk.kind == "fgsm":
                 adv = attacks_mod.fgsm(
@@ -598,17 +554,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     rng=attack_rng if atk.random_start else None,
                 )
             adv_ds = data_mod.Dataset(adv, test_ds.labels, "test")
-            m = training_mod.evaluate(baseline, adv_ds)
-            rows.append(
-                ReportRow(
-                    seed,
-                    config.model.kind,
-                    "attacked",
-                    "pure",
-                    m,
-                    relative_accuracy(m.accuracy, base_acc["pure"]),
-                    attacks_mod.attack_success_rate(baseline, adv, test_ds.labels),
-                )
+            rows += _rows(
+                config, seed, "attacked", baseline, adv_ds, base_acc,
+                lambda model, *_: attacks_mod.attack_success_rate(model, adv, test_ds.labels),
+                [("pure", ())],
             )
 
     return ExperimentReport(

@@ -14,11 +14,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import bench
-from .bench import ConfigError, QMLP_SWEEP_LAYERS
+from .bench import ConfigError, QMLP_SWEEP_LAYERS, ReportRow
+from .training import Metrics
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,24 +142,21 @@ def _cmd_sweep(args) -> None:
         _run_single(cell, args.format)
 
 
+def _report_row(cells: dict) -> ReportRow:
+    """A ``read_table`` row as a ReportRow; an empty cell reads as None."""
+    metrics = Metrics(*(float(cells[k]) for k in ("accuracy", "macro_f1", "fpr", "fnr")))
+    rel, asr = (float(cells[k]) if cells[k] else None for k in ("relative_accuracy", "asr"))
+    return ReportRow(
+        int(cells["seed"]), cells["model"], cells["condition"], cells["eval_mode"], metrics, rel, asr
+    )
+
+
 def _cmd_report(args) -> None:
     rows = bench.read_table(args.table)
     if not rows:
         raise ConfigError(f"{args.table}: empty table")
-    by_key: dict[tuple, list] = {}
-    for r in rows:
-        by_key.setdefault((r["condition"], r["eval_mode"]), []).append(r)
     lines = [f"re-rendered from {args.table}", "medians across seeds:"]
-    for (cond, mode), grp in sorted(by_key.items()):
-        acc = float(np.median([float(g["accuracy"]) for g in grp]))
-        line = f"  {cond:<9s} {mode:<6s} acc={acc:6.2f}"
-        rels = [float(g["relative_accuracy"]) for g in grp if g["relative_accuracy"]]
-        if rels:
-            line += f"  rel_acc={float(np.median(rels)):.2f}"
-        asrs = [float(g["asr"]) for g in grp if g["asr"]]
-        if asrs:
-            line += f"  asr={float(np.median(asrs)):6.2f}"
-        lines.append(line)
+    lines += bench._median_block([_report_row(r) for r in rows])
     text = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)

@@ -48,7 +48,7 @@ _I = np.eye(2, dtype=complex)
 _FIXED_GATES = {"X": _X, "CX": _X, "Y": _Y, "Z": _Z, "H": _H}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateOp:
     """One gate application: kind, target qubits, optional rotation angle and
     optional gradient tag.
@@ -57,7 +57,8 @@ class GateOp:
     for CX/CRX. ``angle`` is a float shared by every sample, or a ``[B]``
     array with one angle per sample of a batch. ``tag`` is ("theta"|"x",
     flat index, scale): the parameter or input feature the angle came from,
-    with its chain-rule scale.
+    with its chain-rule scale. Gates compare and hash by identity, since a
+    ``[B]`` angle has no single truth value.
     """
 
     kind: str

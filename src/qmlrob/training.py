@@ -267,11 +267,15 @@ def fit(
     test_ds: Dataset | None = None,
     log_path=None,
     n_classes: int | None = None,
+    *,
+    reweight=None,
 ):
     """Multi-epoch training driver; returns (model, per-epoch history).
 
-    Writes one ``epoch<TAB>train_loss<TAB>test_acc`` line per epoch when a log
-    path is given (test accuracy evaluated noiselessly).
+    ``reweight(model) -> weights``, when given, is called before each epoch
+    and sets that epoch's sample weights. Writes one
+    ``epoch<TAB>train_loss<TAB>test_acc`` line per epoch when a log path is
+    given (test accuracy evaluated noiselessly).
     """
     shuffle_seq, spsa_seq = np.random.SeedSequence(config.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
@@ -283,6 +287,8 @@ def fit(
     history = []
     lines = []
     for epoch in range(config.epochs):
+        if reweight is not None:
+            weights = reweight(model)
         try:
             model, stats = train_epoch(
                 model,

@@ -355,6 +355,8 @@ class TestRunExperiment:
         report = run_experiment(parse_config(raw))
         assert {r.condition for r in report.rows} == {"baseline", "attacked", "defended"}
         assert (tmp_path / "seed_0" / "weight_history.tsv").exists()
+        log = tmp_path / "seed_0" / "defended_train_log.tsv"
+        assert len(log.read_text().splitlines()) == raw["train"]["epochs"]
 
     def test_deterministic_table_across_invocations(self, tmp_path):
         raw = base_raw(attack={"kind": "label_flip", "ratio": 0.5})
@@ -518,7 +520,12 @@ class TestCli:
         emit_report(fixture_report(), tmp_path, "table")
         result = run_cli(["report", "--table", str(tmp_path / "table.tsv")], tmp_path)
         assert result.returncode == 0
-        assert "medians" in result.stdout
+        assert result.stdout == (
+            f"re-rendered from {tmp_path / 'table.tsv'}\n"
+            "medians across seeds:\n"
+            "  attacked  pure   acc= 48.00  rel_acc=0.50  asr= 37.50\n"
+            "  baseline  pure   acc= 96.00  rel_acc=1.00\n"
+        )
 
     @pytest.mark.parametrize(
         "edit",

@@ -15,7 +15,8 @@ from qmlrob.defense import (
     qdetect_weights,
     write_weight_history,
 )
-from qmlrob.models import CmlpConfig, flatten_params, init_cmlp
+from qmlrob.encoding import EncodingSpec
+from qmlrob.models import CmlpConfig, QmlpConfig, flatten_params, init_cmlp, init_qmlp
 from qmlrob.training import TrainConfig, evaluate, fit
 
 
@@ -143,7 +144,7 @@ class TestDefendedTrain:
             m, ds, TrainConfig(epochs=0), QDetectConfig(seed=2)
         )
         assert np.array_equal(flatten_params(out.params), before)
-        assert history.shape[0] == 0
+        assert history.shape == (0, len(ds))
 
     def test_clean_run_converges_to_full_weights(self):
         diffs, finals = [], []
@@ -162,6 +163,23 @@ class TestDefendedTrain:
             )
         assert np.median(finals) > 0.85
         assert np.median(diffs) <= 5.0
+
+    @pytest.mark.parametrize("kind", ["cmlp", "qmlp"])
+    def test_uniform_weights_train_exactly_like_fit(self, kind):
+        if kind == "cmlp":
+            ds, _ = small_task(0)
+            init = lambda: init_cmlp(CmlpConfig(4, 8, 3), np.random.default_rng(1))
+        else:
+            ds = synth_blobs(2, 2, 12, 0.15, np.random.default_rng(0))
+            enc = EncodingSpec("angle", 2, (0.0, np.pi))
+            init = lambda: init_qmlp(QmlpConfig(1, enc, 2, n_qubits=2), np.random.default_rng(1))
+        cfg = TrainConfig(lr=0.01, epochs=3, batch_size=8, seed=5)
+        uniform = QDetectConfig(wan_lr=1.0, keep_fraction=1.0, anneal_coeff=1e6, seed=2)
+        defended, history = defended_train(init(), ds, cfg, uniform)
+        fitted, _ = fit(init(), ds, cfg)
+        assert history.shape == (cfg.epochs, len(ds))
+        assert np.all(history == 1.0)
+        assert np.array_equal(flatten_params(defended.params), flatten_params(fitted.params))
 
     def test_poisoned_samples_get_lower_weights(self):
         separations = []

@@ -134,6 +134,12 @@ class TestGates:
         with pytest.raises(ValueError):
             GateOp("CX", (1, 1))
 
+    def test_batched_gates_compare_and_hash_by_identity(self):
+        a = GateOp("RY", (0,), np.array([0.1, 0.2]))
+        b = GateOp("RY", (0,), np.array([0.1, 0.2]))
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
 
 class TestDensityOps:
     def test_x_flips_populations(self):
