@@ -155,6 +155,10 @@ def _cmd_report(args) -> None:
     rows = bench.read_table(args.table)
     if not rows:
         raise ConfigError(f"{args.table}: empty table")
+    needed = [c for c in bench._TABLE_COLUMNS if c != "config_hash"]
+    missing = [c for c in needed if any(c not in r for r in rows)]
+    if missing:
+        raise ConfigError(f"{args.table}: missing column(s) {', '.join(missing)}")
     lines = [f"re-rendered from {args.table}", "medians across seeds:"]
     lines += bench._median_block([_report_row(r) for r in rows])
     text = "\n".join(lines) + "\n"

@@ -10,7 +10,9 @@ as ``sim``'s fused blocks. Quantum gradients come from an adjoint backward
 sweep (exact for expectation readouts) that starts from the state of the one
 forward pass it also reads the logits from. Per block it
 reduces the ket and bra to a small local cross matrix, reads every member
-gate's gradient from it, and undoes the block with one kernel call. A
+gate's gradient from it, and undoes the block with one kernel call; a dense
+segment of shared gates is undone with one matmul and read from one
+weighted full-register cross matrix. A
 parameter-shift path with the four-term rule for controlled rotations runs
 gate by gate and is kept alongside as an independent cross-check.
 """
@@ -324,7 +326,7 @@ def quantum_features(
     if mode == "pure":
         if noise:
             raise ValueError("pure mode requires an empty noise policy")
-        amps = sim._forward_amps(sim._fuse(ops), init)
+        amps = sim._forward_amps(sim._densify(sim._fuse(ops), n), init)
         return (np.abs(amps) ** 2) @ zd.T
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
@@ -381,10 +383,13 @@ def predict_batch(
 # the product of the block's members after it; the sweep reads it as
 # Im Tr((W G W^dagger) M), so the 2x2 algebra stays unbatched for shared
 # gates. The whole block is then undone on ket and lambda with one kernel
-# call.
+# call. A dense segment (``sim._densify``) is first undone with one matmul by
+# conj(U), its total unitary. At its start the sweep forms one weighted
+# cross matrix M0 = sum_b w_b |psi_b><lambda_b| [dim, dim], shared by the
+# batch; the state just after member k is P_k |psi>, with P_k the segment's
+# prefix product through k, so the member's weighted gradient is
+# Im Tr(G_k P_k M0 P_k^dagger), read for every member at once.
 # ---------------------------------------------------------------------------
-
-_GENERATORS = {"RX": sim._X, "RY": sim._Y, "RZ": sim._Z, "CRX": sim._X}
 
 
 def _cross_matrix(state: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
@@ -410,6 +415,19 @@ def _cross_matrix(state: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     return m.sum(axis=tuple(range(3, m.ndim))) if m.ndim > 3 else m
 
 
+def _segment_grads(seg: sim._Segment, m0: np.ndarray) -> np.ndarray:
+    """Im Tr(G_k P_k M0 P_k^dagger) for every member k of a dense segment (0
+    for fixed gates), with M0 the weighted cross matrix at its start. G_k is
+    nonzero only at (a, cols[k, a, :]), so the trace sums G_k there times the
+    inner product of row ``a`` of P_k with rows ``cols`` of P_k M0; P_k M0
+    for every member is one gemm."""
+    p = seg.prefix
+    K, dim, _ = p.shape
+    pm = (p.reshape(K * dim, dim) @ m0).reshape(p.shape)
+    t = np.vecdot(p[:, :, None, :], pm[np.arange(K)[:, None, None], seg.cols])
+    return np.sum(seg.gens * t, axis=(1, 2)).imag
+
+
 def _dagger(mat: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mat, -1, -2))
 
@@ -429,6 +447,13 @@ def _adjoint_backward(
     dtheta = np.zeros(n_params)
     dX = np.zeros((psi_final.shape[0], n_features))
     for block in reversed(blocks):
+        if isinstance(block, sim._Segment):
+            state = sim.apply_dense(state, _dagger(block.mat))
+            m0 = (sample_scale[:, None] * state[:, 0]).T @ state[:, 1].conj()
+            for op, g in zip(block.members, _segment_grads(block, m0)):
+                if op.tag is not None:  # a "theta" tag; segments hold no input tags
+                    dtheta[op.tag[1]] += op.tag[2] * g
+            continue
         m = None
         after = None  # product of the members after the current one
         for ins, mat in zip(reversed(block.members), reversed(block.mats)):
@@ -436,7 +461,7 @@ def _adjoint_backward(
                 if m is None:
                     m = _cross_matrix(state, block.targets)
                     m_scaled = sample_scale[:, None, None] * m
-                gen = _GENERATORS[ins.kind]
+                gen = sim._GENERATORS[ins.kind]
                 if after is not None:
                     gen = after @ gen @ _dagger(after)
                 gen_t = np.swapaxes(gen, -1, -2)
@@ -467,7 +492,7 @@ def _quantum_backward(
     head_w = model.params.head_w
 
     ops, init = _program(model, X)
-    blocks = sim._fuse(ops)
+    blocks = sim._densify(sim._fuse(ops), n)
     psi = sim._forward_amps(blocks, init)
     zd = _z_diags(n)
     z = (np.abs(psi) ** 2) @ zd.T

@@ -10,10 +10,11 @@ from qmlrob import sim
 
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list[int]:
-    """A one-item list counting the statevector kernel calls made through
-    ``sim``'s module attributes while the test runs."""
+    """A one-item list counting the statevector kernel calls (local gates
+    and dense segments) made through ``sim``'s module attributes while the
+    test runs."""
     calls = [0]
-    for name in ("apply_1q", "apply_controlled_1q"):
+    for name in ("apply_1q", "apply_controlled_1q", "apply_dense"):
         kernel = getattr(sim, name)
 
         def counted(*args, _kernel=kernel, **kwargs):

@@ -244,14 +244,15 @@ class TestPgd:
 
     def test_iteration_simulates_the_circuit_once(self, kernel_calls):
         # One forward plus the stacked adjoint sweep per iteration: exactly
-        # one kernel call per fused block each way. A second forward would
-        # add 96.
+        # one kernel call each way for each of the 4 encoder blocks and for
+        # the one dense segment that the other 92 fused blocks form. A
+        # second forward would add 5.
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(3))
         X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 8))
         n_blocks = len(sim._fuse(models._program(m, X)[0]))
         assert n_blocks == 96
         pgd(m, X, np.arange(5) % 4, 0.1, 0.05, 1, (-math.pi, math.pi))
-        assert kernel_calls[0] == 2 * n_blocks
+        assert kernel_calls[0] == 2 * (4 + 1)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):

@@ -527,6 +527,17 @@ class TestCli:
             "  baseline  pure   acc= 96.00  rel_acc=1.00\n"
         )
 
+    def test_report_names_missing_columns_in_one_error_line(self, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text(
+            "seed\tmodel\tcondition\teval_mode\taccuracy\n0\tqmlp\tbaseline\tpure\t0.9\n"
+        )
+        result = run_cli(["report", "--table", str(table)], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: {table}: missing column(s) macro_f1, fpr, fnr, relative_accuracy, asr\n"
+        )
+
     @pytest.mark.parametrize(
         "edit",
         [

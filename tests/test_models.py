@@ -414,32 +414,37 @@ def fusion_case(name):
     return m, rng.uniform(0.1, 1.2, size=(3, width))
 
 
+def assert_matches_per_instruction_reference(m, X):
+    """Logits, features, weighted parameter gradients and per-sample input
+    gradients of ``logits_and_grads`` against gate-by-gate references."""
+    y = np.arange(len(X)) % m.config.n_classes
+    w = np.linspace(0.5, 1.5, len(X))
+    logits, grads, dX = models.logits_and_grads(
+        m, X, lambda lg: softmax(lg) - np.eye(m.config.n_classes)[y], w
+    )
+    z, want_logits = per_instr_logits(m, X)
+    assert np.max(np.abs(logits - want_logits)) < 1e-12
+    assert np.max(np.abs(models.quantum_features(m, X) - z)) < 1e-12
+    want = sum(
+        wi * flatten_params(grad_params_shift(m, X[i], int(y[i]), ce_with_grad))
+        for i, wi in enumerate(w)
+    )
+    assert np.max(np.abs(flatten_params(grads) - want)) < 1e-12
+    for i, wi in enumerate(w):
+        if isinstance(m.config, QmlpConfig) and m.config.encoding.kind == "amplitude":
+            gx = per_instr_amplitude_input_grad(m, X[i], int(y[i]))
+        else:
+            gx = grad_input_shift(m, X[i], int(y[i]), ce_with_grad)
+        assert np.max(np.abs(dX[i] - wi * gx)) < 1e-12
+
+
 class TestGateFusion:
     """Same-qubit gate runs fused into one block must leave logits and every
     gradient where the per-instruction passes put them."""
 
     @pytest.mark.parametrize("name", [*FUSION_CASES, "qnn"])
     def test_logits_and_gradients_match_per_instruction_reference(self, name):
-        m, X = fusion_case(name)
-        y = np.arange(len(X)) % m.config.n_classes
-        w = np.linspace(0.5, 1.5, len(X))
-        logits, grads, dX = models.logits_and_grads(
-            m, X, lambda lg: softmax(lg) - np.eye(m.config.n_classes)[y], w
-        )
-        z, want_logits = per_instr_logits(m, X)
-        assert np.max(np.abs(logits - want_logits)) < 1e-12
-        assert np.max(np.abs(models.quantum_features(m, X) - z)) < 1e-12
-        want = sum(
-            wi * flatten_params(grad_params_shift(m, X[i], int(y[i]), ce_with_grad))
-            for i, wi in enumerate(w)
-        )
-        assert np.max(np.abs(flatten_params(grads) - want)) < 1e-12
-        for i, wi in enumerate(w):
-            if name.startswith("amplitude"):
-                gx = per_instr_amplitude_input_grad(m, X[i], int(y[i]))
-            else:
-                gx = grad_input_shift(m, X[i], int(y[i]), ce_with_grad)
-            assert np.max(np.abs(dX[i] - wi * gx)) < 1e-12
+        assert_matches_per_instruction_reference(*fusion_case(name))
 
     @pytest.mark.parametrize("noise", NOISE_TUPLES[:3], ids=["none", "depol", "damp_depol"])
     @pytest.mark.parametrize("name", ["angle_1q", "angle_2q", "angle_2q_once", "amplitude_3q", "qnn"])
@@ -494,6 +499,58 @@ class TestGateFusion:
         tdist = np.eye(4)[np.arange(3) % 4]
         training._batch_grads(m, X, tdist, np.full(3, 1 / 3))
         assert kernel_calls[0] == 72
+
+
+def dense_case(kind, n):
+    rng = np.random.default_rng(70 + n)
+    if kind == "qnn":
+        m = init_pqc6(Pqc6Config(n_qubits=n, layers=2, n_classes=3), np.random.default_rng(71))
+        return m, rng.uniform(-math.pi, math.pi, size=(3, 2 * n))
+    if kind == "amplitude":
+        m = make_qmlp(layers=3, n=n, n_classes=3, kind="amplitude", seed=72)
+        return m, rng.uniform(0.1, 1.2, size=(3, max(2**n - 1, 2)))
+    m = make_qmlp(layers=3, n=n, n_classes=3, seed=73, reupload=kind == "angle")
+    return m, rng.uniform(0.1, 1.2, size=(3, n))
+
+
+# Every model at every width that gets dense segments, except those whose
+# circuit has no run of shared blocks: on 1 qubit an encoder's gates and all
+# the rotations after it fuse into one per-sample block.
+DENSE_CASES = [
+    (kind, n)
+    for n in range(1, sim.N_DENSE + 1)
+    for kind in ("qnn", "angle", "angle_once", "amplitude")
+    if n > 1 or kind == "amplitude"
+]
+
+
+class TestDenseSegments:
+    """Runs of shared blocks on at most N_DENSE qubits run as one dense
+    segment each; logits and every gradient must stay where the
+    per-instruction passes put them."""
+
+    @pytest.mark.parametrize("kind, n", DENSE_CASES, ids=[f"{k}_{n}q" for k, n in DENSE_CASES])
+    def test_logits_and_gradients_match_per_instruction_reference(self, kind, n):
+        m, X = dense_case(kind, n)
+        blocks = sim._densify(sim._fuse(models._program(m, X)[0]), n)
+        assert any(isinstance(b, sim._Segment) for b in blocks)
+        assert_matches_per_instruction_reference(m, X)
+
+    def test_qnn_is_four_encoder_blocks_and_one_segment(self):
+        m = init_pqc6(Pqc6Config(), np.random.default_rng(0))
+        blocks = sim._fuse(models._program(m, np.full((2, 8), 0.5))[0])
+        items = sim._densify(blocks, 4)
+        assert [type(b) for b in items] == [sim._Block] * 4 + [sim._Segment]
+        assert items[:4] == blocks[:4]
+        assert items[4].members == tuple(op for b in blocks[4:] for op in b.members)
+        # Layer 0's 12 rotations fuse into the encoder blocks on their qubits.
+        assert len(items[4].members) == 144 - 12
+
+    def test_angle_qmlp_layer_is_encoder_blocks_then_its_crx_ring(self):
+        m = make_qmlp(layers=3, n=4, n_classes=4)
+        items = sim._densify(sim._fuse(models._program(m, np.full((2, 4), 0.5))[0]), 4)
+        assert [type(b) for b in items] == ([sim._Block] * 4 + [sim._Segment]) * 3
+        assert all(len(b.members) == 4 for b in items[4::5])
 
 
 class TestSpsa:

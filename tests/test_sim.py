@@ -357,6 +357,25 @@ class TestRandomCircuitInvariants:
             dm = run_circuit(circ, "mixed").entries
             assert np.max(np.abs(dm - np.outer(dense, dense.conj()))) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, sim.N_DENSE + 1))
+    def test_dense_segments_match_kron_product(self, n):
+        # Fixed gates (H, X, CX, ...) and shared rotations form one dense
+        # segment at these widths; a batch of random states goes through it.
+        rng = np.random.default_rng(16 + n)
+        for _ in range(20):
+            circ = random_circuit(rng, n, 12)
+            assert [type(b) for b in sim._densify(sim._fuse(circ.ops), n)] == [sim._Segment]
+            init = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+            want = init.T
+            for op in circ.ops:
+                want = dense_unitary(op, n) @ want
+            assert np.max(np.abs(sim.run_circuit_amps(circ, init) - want.T)) < 1e-12
+
+    def test_wider_registers_keep_the_fused_blocks(self):
+        n = sim.N_DENSE + 1
+        blocks = sim._fuse(random_circuit(np.random.default_rng(17), n, 12).ops)
+        assert sim._densify(blocks, n) is blocks
+
     def test_initial_state_override(self):
         init = apply_gate(zero_state(2), GateOp("H", (0,)))
         circ = CircuitSpec(2, (GateOp("CX", (0, 1)),), initial_state=init)

@@ -186,14 +186,16 @@ class TestTrainEpoch:
 
     def test_adam_step_simulates_the_circuit_once(self, kernel_calls):
         # One forward plus the stacked adjoint sweep: exactly one kernel call
-        # per fused block each way. A second forward would add 96.
+        # each way for each of the 4 encoder blocks and for the one dense
+        # segment that the other 92 fused blocks form. A second forward
+        # would add 5.
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(1))
         X = np.random.default_rng(2).uniform(-math.pi, math.pi, size=(8, 8))
         tdist = one_hot(np.arange(8) % 4, 4)
         n_blocks = len(sim._fuse(models._program(m, X)[0]))
         assert n_blocks == 96
         training._batch_grads(m, X, tdist, np.full(8, 1 / 8))
-        assert kernel_calls[0] == 2 * n_blocks
+        assert kernel_calls[0] == 2 * (4 + 1)
 
     def test_empty_dataset_rejected(self):
         ds = blob_sets()
