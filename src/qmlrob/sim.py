@@ -22,7 +22,11 @@ list describes a whole batch. Every circuit pass runs the fused blocks of
 ``_fuse`` (see there): one kernel call, or one superoperator, per block. On
 registers of at most ``N_DENSE`` qubits the pure path makes a second pass,
 ``_densify``: each run of blocks whose angles the whole batch shares becomes
-one dense segment, applied with one matmul (see there).
+one dense segment, applied with one matmul (see there). The noisy path builds
+every block's superoperator for the whole program in a few batched calls
+(``_block_superops``), then applies them to a density matrix kept as a
+``[B] + [2] * 2n`` array in a tracked axis order (``_apply_superops``): each
+block moves only its targets' axes last, with one copy.
 
 Measurement is an exact expectation value; there is no shot sampling.
 """
@@ -88,23 +92,28 @@ class GateOp:
         for CX/CRX): ``[2, 2]``, or ``[B, 2, 2]`` for per-sample angles."""
         if self.kind not in ROTATION_GATES:
             return _FIXED_GATES[self.kind]
-        th = np.asarray(self.angle, dtype=float)
-        c, s = np.cos(th / 2), np.sin(th / 2)
-        m = np.zeros(th.shape + (2, 2), dtype=complex)
-        if self.kind in ("RX", "CRX"):
-            m[..., 0, 0] = c
-            m[..., 0, 1] = -1j * s
-            m[..., 1, 0] = -1j * s
-            m[..., 1, 1] = c
-        elif self.kind == "RY":
-            m[..., 0, 0] = c
-            m[..., 0, 1] = -s
-            m[..., 1, 0] = s
-            m[..., 1, 1] = c
-        else:
-            m[..., 0, 0] = np.exp(-0.5j * th)
-            m[..., 1, 1] = np.exp(0.5j * th)
-        return m
+        return _rotation_matrices(self.kind, np.asarray(self.angle, dtype=float))
+
+
+def _rotation_matrices(kind: str, th: np.ndarray) -> np.ndarray:
+    """exp(-i th G / 2) for the rotation ``kind`` (CRX: its target block),
+    one per entry of the angle array ``th``: ``th.shape + (2, 2)``."""
+    c, s = np.cos(th / 2), np.sin(th / 2)
+    m = np.zeros(th.shape + (2, 2), dtype=complex)
+    if kind in ("RX", "CRX"):
+        m[..., 0, 0] = c
+        m[..., 0, 1] = -1j * s
+        m[..., 1, 0] = -1j * s
+        m[..., 1, 1] = c
+    elif kind == "RY":
+        m[..., 0, 0] = c
+        m[..., 0, 1] = -s
+        m[..., 1, 0] = s
+        m[..., 1, 1] = c
+    else:
+        m[..., 0, 0] = np.exp(-0.5j * th)
+        m[..., 1, 1] = np.exp(0.5j * th)
+    return m
 
 
 def controlled_unitary(mat: np.ndarray) -> np.ndarray:
@@ -392,32 +401,46 @@ def local_superop(u: np.ndarray, noise: tuple[KrausChannel, ...] = ()) -> np.nda
     return s
 
 
-@functools.lru_cache(maxsize=None)
-def _superop_perm(n_qubits: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order of a ``[B] + [2] * 2n`` density matrix that puts the other
-    qubits' row and column bits first, then the targets' row bits, then their
-    column bits (qubit q's row bit is axis n - q); and its inverse."""
-    rows = [n_qubits - t for t in targets]
-    cols = [r + n_qubits for r in rows]
-    rest = [a for a in range(1, 2 * n_qubits + 1) if a not in rows and a not in cols]
-    perm = tuple([0] + rest + rows + cols)
-    return perm, tuple(int(a) for a in np.argsort(perm))
+@functools.lru_cache(maxsize=4096)
+def _tracked_perm(order: tuple[int, ...], targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a ``[B] + [2] * 2n`` density matrix whose axis ``i`` holds the
+    canonical axis ``order[i]`` (0 is the batch, qubit q's row bit is n - q
+    and its column bit 2n - q): the transpose that keeps the other axes in
+    their order and moves the targets' row bits, then their column bits,
+    last; and the axis order after it."""
+    n = len(order) // 2
+    rows = [n - t for t in targets]
+    moved = [order.index(a) for a in rows + [r + n for r in rows]]
+    perm = tuple([i for i in range(len(order)) if i not in moved] + moved)
+    return perm, tuple(order[i] for i in perm)
+
+
+def _apply_superops(dm: np.ndarray, steps) -> np.ndarray:
+    """Apply each ``(s, targets)`` of ``steps`` in turn: a local
+    superoperator, shared or one per sample of a ``[B, D, D]`` batch. The
+    density matrix stays a ``[B] + [2] * 2n`` array whose axis order is
+    tracked, so a step costs one copying reshape that moves only its
+    targets' axes last (none when they already are) and one matmul; the
+    canonical order comes back once at the end."""
+    n = dm.shape[-1].bit_length() - 1
+    x = dm.reshape((-1,) + (2,) * (2 * n))
+    order = tuple(range(2 * n + 1))
+    for s, targets in steps:
+        perm, order = _tracked_perm(order, targets)
+        x = x.transpose(perm)
+        dd = s.shape[-1]
+        if s.ndim == 2:
+            y = x.reshape(-1, dd) @ s.T
+        else:
+            y = x.reshape(x.shape[0], -1, dd) @ np.swapaxes(s, -1, -2)
+        x = y.reshape(x.shape)
+    return x.transpose(np.argsort(order)).reshape(dm.shape)
 
 
 def apply_local_superop(dm: np.ndarray, s: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a local superoperator ``s`` (shared, or one per sample of a
     ``[B, D, D]`` batch) to ``targets`` of a density matrix."""
-    shape = dm.shape
-    n = shape[-1].bit_length() - 1
-    perm, inverse = _superop_perm(n, targets)
-    x = dm.reshape((-1,) + (2,) * (2 * n)).transpose(perm)
-    tshape = x.shape
-    dd = s.shape[-1]
-    if s.ndim == 2:
-        y = x.reshape(-1, dd) @ s.T
-    else:
-        y = x.reshape(tshape[0], -1, dd) @ np.swapaxes(s, -1, -2)
-    return y.reshape(tshape).transpose(inverse).reshape(shape)
+    return _apply_superops(dm, [(s, targets)])
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +485,6 @@ def _fuse(ops) -> list[_Block]:
             open_run[op.targets[0]] = len(runs)
         runs.append((op.targets, [op]))
     return [_Block(targets, tuple(members)) for targets, members in runs]
-
-
-def _block_superop(block: _Block, noise: tuple[KrausChannel, ...]) -> np.ndarray:
-    """Product of the members' local superoperators, each gate followed by
-    the noise on its targets."""
-    s = None
-    for mat in block.mats:
-        u = mat if len(block.targets) == 1 else controlled_unitary(mat)
-        sk = local_superop(u, noise)
-        s = sk if s is None else sk @ s
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +595,63 @@ def _forward_amps(blocks: list[_Block | _Segment], amps: np.ndarray) -> np.ndarr
     return amps
 
 
+def _block_superops(blocks: list[_Block], noise: tuple[KrausChannel, ...]) -> list[np.ndarray]:
+    """Each block's superoperator: the product of its members' local
+    superoperators, each gate followed by the noise on its targets, built
+    for the whole program at once. Shared-angle members are built together
+    (one ``_rotation_matrices`` call per rotation kind, one ``local_superop``
+    call per block width); a per-sample member once per distinct gate, so a
+    re-uploaded encoder gate is built once. Blocks with the same width and
+    the same shared or per-sample pattern of members form their products
+    together, one stacked matmul per member position."""
+    shared: dict[int, list[GateOp]] = {1: [], 2: []}  # by block width
+    per_sample: dict[GateOp, np.ndarray] = {}
+    refs = []  # per block, per member: its index in ``shared``, or the gate
+    groups: dict[tuple, list[int]] = {}  # member pattern -> blocks
+    for block in blocks:
+        width = len(block.targets)
+        refs.append([])
+        for op in block.members:
+            if getattr(op.angle, "ndim", 0) == 0:
+                refs[-1].append(len(shared[width]))
+                shared[width].append(op)
+            else:
+                refs[-1].append(op)
+                if op not in per_sample:
+                    per_sample[op] = local_superop(gate_unitary(op), noise)
+        key = (width,) + tuple(isinstance(m, GateOp) for m in refs[-1])
+        groups.setdefault(key, []).append(len(refs) - 1)
+    stacks = {}
+    for width, ops in shared.items():
+        if not ops:
+            continue
+        mats = np.array([_FIXED_GATES.get(op.kind, _I) for op in ops])
+        for kind in ROTATION_GATES & {op.kind for op in ops}:
+            at = [i for i, op in enumerate(ops) if op.kind == kind]
+            mats[at] = _rotation_matrices(kind, np.array([ops[i].angle for i in at], dtype=float))
+        stacks[width] = local_superop(mats if width == 1 else controlled_unitary(mats), noise)
+
+    out: list[np.ndarray] = [None] * len(blocks)
+    for (width, *pattern), group in groups.items():
+        acc = None
+        for pos, is_per_sample in enumerate(pattern):
+            if is_per_sample:
+                sk = np.stack([per_sample[refs[i][pos]] for i in group])  # [G, B, D, D]
+            else:
+                sk = stacks[width][[refs[i][pos] for i in group]]  # [G, D, D]
+                if any(pattern):
+                    sk = sk[:, None]
+            acc = sk if acc is None else sk @ acc
+        for g, i in enumerate(group):
+            out[i] = acc[g]
+    return out
+
+
 def _forward_dm(
     blocks: list[_Block], dm: np.ndarray, noise: tuple[KrausChannel, ...]
 ) -> np.ndarray:
-    for block in blocks:
-        dm = apply_local_superop(dm, _block_superop(block, noise), block.targets)
-    return dm
+    superops = _block_superops(blocks, noise)
+    return _apply_superops(dm, zip(superops, (b.targets for b in blocks)))
 
 
 # ---------------------------------------------------------------------------

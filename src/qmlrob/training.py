@@ -21,7 +21,8 @@ ADAM_EPS = 1e-8
 
 
 class NonFiniteLossError(ValueError):
-    """A training batch produced a NaN or infinite loss."""
+    """A training batch produced a NaN or infinite loss, or its update NaN or
+    infinite parameters."""
 
 
 @dataclass(frozen=True)
@@ -245,10 +246,13 @@ def train_epoch(
             new_params = tree_map(
                 lambda p, g: p - config.spsa_step * g, model.params, grads
             )
+        batch = start // config.batch_size
         batch_loss = float(np.dot(w, losses))
         if not np.isfinite(batch_loss):
+            raise NonFiniteLossError(f"non-finite loss {batch_loss} in batch {batch}")
+        if not np.all(np.isfinite(models.flatten_params(new_params))):
             raise NonFiniteLossError(
-                f"non-finite loss {batch_loss} in batch {start // config.batch_size}"
+                f"non-finite parameters after the {opt} update in batch {batch}"
             )
         model = models.replace_params(model, new_params)
         total_loss += batch_loss

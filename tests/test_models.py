@@ -248,6 +248,25 @@ class TestFusedMixedForward:
         b = models.quantum_features(m, X, "mixed", NOISE_TUPLES[3])
         assert np.max(np.abs(a - b)) > 1e-6
 
+    def test_superoperator_build_does_not_grow_with_depth(self, monkeypatch):
+        calls = [0]
+        real = sim.local_superop
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "local_superop", counted)
+        X = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 4))
+        counts = []
+        for layers in (2, 10):
+            m = make_qmlp(layers=layers, n=4, seed=14)
+            calls[0] = 0
+            models.quantum_features(m, X, "mixed", NOISE_TUPLES[2])
+            counts.append(calls[0])
+        # One call per block width for the shared gates, one per encoder gate.
+        assert counts == [2 + 4, 2 + 4]
+
 
 class TestGradients:
     def test_single_ry_gradient_extremes(self):

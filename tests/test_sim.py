@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qmlrob import sim
+from qmlrob import models, sim
 from qmlrob.sim import (
     CircuitSpec,
     DensityMatrix,
@@ -469,6 +469,113 @@ class TestLocalSuperop:
             s = sim.local_superop(gate_unitary(op), noise)
             out = sim.apply_local_superop(dm, s, op.targets)
             assert np.max(np.abs(out - want)) < 1e-12
+
+
+MIXED_NOISE = [
+    (),
+    (make_depolarizing(0.05),),
+    (make_amplitude_damping(0.1), make_depolarizing(0.05)),
+]
+
+
+def random_batched_ops(rng, n_qubits, n_gates, batch):
+    """``random_circuit``'s gates, with each rotation's angle replaced, with
+    probability 1/2, by one angle per sample of ``batch``."""
+    ops = []
+    for op in random_circuit(rng, n_qubits, n_gates).ops:
+        if op.angle is not None and rng.random() < 0.5:
+            op = GateOp(op.kind, op.targets, rng.uniform(-np.pi, np.pi, size=batch))
+        ops.append(op)
+    return ops
+
+
+def random_dm(rng, batch_shape, n):
+    d = 2**n
+    a = rng.normal(size=batch_shape + (d, d)) + 1j * rng.normal(size=batch_shape + (d, d))
+    rho = a @ np.swapaxes(a.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def per_block_dm(ops, dm, noise):
+    """Reference noisy pass: each fused block's superoperator, formed one
+    member at a time (S = S_k @ ... @ S_1), applied with apply_local_superop
+    in canonical axis order."""
+    for block in sim._fuse(ops):
+        s = None
+        for op in block.members:
+            sk = sim.local_superop(gate_unitary(op), noise)
+            s = sk if s is None else sk @ s
+        dm = sim.apply_local_superop(dm, s, block.targets)
+    return dm
+
+
+def per_gate_dm(ops, dm, noise):
+    """Reference noisy pass: each gate as two strided passes, then every
+    channel on the first target and every channel on the second."""
+    for op in ops:
+        dm = models._apply_instr_dm(dm, op)
+        for q in op.targets:
+            for ch in noise:
+                dm = sim.apply_channel_entries(dm, ch, q)
+    return dm
+
+
+class TestTrackedMixedForward:
+    """``_forward_dm`` builds every block's superoperator at once and keeps
+    the density matrix in a tracked axis order; it must equal the per-block
+    reference bit for bit."""
+
+    def check(self, ops, dm, noise):
+        got = sim._forward_dm(sim._fuse(ops), dm, noise)
+        assert np.array_equal(got, per_block_dm(ops, dm, noise))
+        assert np.max(np.abs(got - per_gate_dm(ops, dm, noise))) < 1e-12
+
+    @pytest.mark.parametrize("noise", MIXED_NOISE)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_batched_random_circuits(self, n, noise):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            ops = random_batched_ops(rng, n, 30, batch=3)
+            assert any(np.ndim(op.angle) == 1 for op in ops)
+            assert any(isinstance(op.angle, float) for op in ops)
+            self.check(ops, random_dm(rng, (3,), n), noise)
+
+    @pytest.mark.parametrize("noise", MIXED_NOISE)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_unbatched_random_circuits(self, n, noise):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(3):
+            circuit = random_circuit(rng, n, 30)
+            dm = random_dm(rng, (), n)
+            got = sim.run_circuit_dm(CircuitSpec(n, circuit.ops, noise), dm)
+            assert got.shape == dm.shape
+            assert np.array_equal(got, per_block_dm(circuit.ops, dm, noise))
+            assert np.max(np.abs(got - per_gate_dm(circuit.ops, dm, noise))) < 1e-12
+
+    def test_shared_gate_objects_repeat(self):
+        # One per-sample gate and one shared gate, each used in several blocks,
+        # as a re-uploaded encoder is.
+        rng = np.random.default_rng(60)
+        enc = GateOp("RY", (1,), rng.uniform(-np.pi, np.pi, size=4))
+        rot = GateOp("RX", (0,), 0.3)
+        ops = [enc, rot, GateOp("CRX", (1, 0), 0.7), enc, rot, GateOp("CX", (0, 1)), enc]
+        for noise in MIXED_NOISE:
+            self.check(ops, random_dm(rng, (4,), 2), noise)
+
+    def test_block_whose_targets_are_already_last(self):
+        # After the first CRX(0, 1) the axis order is (batch, row 0, row 1,
+        # col 0, col 1), so the next block on (0, 1) needs no transpose.
+        rng = np.random.default_rng(61)
+        ops = [
+            GateOp("CRX", (0, 1), rng.uniform(-np.pi, np.pi, size=2)),
+            GateOp("CX", (0, 1)),
+            GateOp("CRX", (0, 1), 0.9),
+            GateOp("H", (1,)),
+        ]
+        _, order = sim._tracked_perm((0, 1, 2, 3, 4), (0, 1))
+        assert sim._tracked_perm(order, (0, 1))[0] == (0, 1, 2, 3, 4)
+        for noise in MIXED_NOISE:
+            self.check(ops, random_dm(rng, (2,), 2), noise)
 
 
 class TestValidation:

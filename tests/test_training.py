@@ -278,6 +278,35 @@ class TestNonFiniteLoss:
         with pytest.raises(NonFiniteLossError, match=r"epoch 0: .*batch 0"):
             fit(m, ds, TrainConfig(batch_size=2, epochs=2), mode, noise, n_classes=2)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("optimizer", ["adam", "spsa"])
+    def test_infinite_gradient_names_the_parameters(self, optimizer, monkeypatch):
+        # The loss is finite (it is taken before the update); the update is not.
+        m, ds = self.nan_model()
+        m.params.head_b[0] = 0.0
+        if optimizer == "adam":
+            real = training._batch_grads
+
+            def inf_grads(*args):
+                losses, grads = real(*args)
+                grads.head_b[0] = np.inf
+                return losses, grads
+
+            monkeypatch.setattr(training, "_batch_grads", inf_grads)
+        else:
+            real = models.spsa_grad
+
+            def inf_grads(*args, **kwargs):
+                grads = real(*args, **kwargs)
+                grads.head_b[0] = np.inf
+                return grads
+
+            monkeypatch.setattr(models, "spsa_grad", inf_grads)
+        config = TrainConfig(batch_size=2, epochs=2, optimizer=optimizer)
+        match = rf"epoch 0: non-finite parameters after the {optimizer} update in batch 0"
+        with pytest.raises(NonFiniteLossError, match=match):
+            fit(m, ds, config, "pure", n_classes=2)
+
 
 class TestConfigValidation:
     def test_rejects_nonpositive_lr(self):
