@@ -14,6 +14,8 @@ import json
 import math
 import numbers
 import time
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +54,16 @@ class DataConfig:
     label_path: str | None = None
     csv_path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("blobs", "mnist", "csv"):
+            raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        for key in ("dim", "per_class_train", "per_class_test", "pca_dim"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(f"data.{key} must be >= 1")
+        for key in {"csv": ("csv_path",), "mnist": ("image_path", "label_path")}.get(self.kind, ()):
+            if getattr(self, key) is None:
+                raise ConfigError(f"data.kind {self.kind} needs data.{key}")
+
 
 @dataclass(frozen=True)
 class ModelSpecConfig:
@@ -63,6 +75,12 @@ class ModelSpecConfig:
     input_range: tuple[float, float] | None = None  # defaults per model kind
     reupload: bool = True
 
+    def __post_init__(self):
+        if self.kind not in ("qmlp", "qnn", "cmlp"):
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+        if self.kind == "qmlp" and self.encoding not in ("angle", "amplitude"):
+            raise ConfigError(f"unknown qmlp encoding {self.encoding!r}")
+
     def resolved_range(self) -> tuple[float, float]:
         if self.input_range is not None:
             return self.input_range
@@ -73,21 +91,27 @@ class ModelSpecConfig:
         return (0.0, 1.0)
 
 
+_CHANNELS = {"depolarizing": make_depolarizing, "amplitude_damping": make_amplitude_damping}
+
+
 @dataclass(frozen=True)
 class ModeConfig:
     kind: str = "pure"  # pure | mixed
     channels: tuple[tuple[str, float], ...] = ()  # (kind, p) pairs
 
-    def build_channels(self) -> tuple[KrausChannel, ...]:
-        out = []
+    def __post_init__(self):
+        if self.kind not in ("pure", "mixed"):
+            raise ConfigError(f"unknown mode {self.kind!r}")
+        if self.kind == "pure" and self.channels:
+            raise ConfigError("pure mode takes no noise channels")
         for kind, p in self.channels:
-            if kind == "depolarizing":
-                out.append(make_depolarizing(p))
-            elif kind == "amplitude_damping":
-                out.append(make_amplitude_damping(p))
-            else:
+            if kind not in _CHANNELS:
                 raise ConfigError(f"unknown noise channel {kind!r}")
-        return tuple(out)
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError("noise probability must be in [0, 1]")
+
+    def build_channels(self) -> tuple[KrausChannel, ...]:
+        return tuple(_CHANNELS[kind](p) for kind, p in self.channels)
 
 
 @dataclass(frozen=True)
@@ -105,10 +129,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds list must not be empty")
-        if self.mode.kind == "mixed":
-            for _, p in self.mode.channels:
-                if not 0.0 <= p <= 1.0:
-                    raise ConfigError("noise probability must be in [0, 1]")
+        if self.train_mode not in ("pure", "mixed"):
+            raise ConfigError(f"unknown train_mode {self.train_mode!r}")
         if self.attack is not None:
             if self.attack.kind in ("fgsm", "pgd") and self.mode.kind == "mixed":
                 raise ConfigError(
@@ -150,79 +172,24 @@ def relative_accuracy(acc_attack: float, acc_baseline: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization with fail-fast unknown-key checking
+# Config parsing. The dataclasses above are the schema: a section's keys are
+# its fields, a field without a default is required, and each value must fit
+# the field's annotation. Kind and range checks live in ``__post_init__``.
 # ---------------------------------------------------------------------------
-
-_SECTION_KEYS = {
-    "data": {
-        "kind", "n_classes", "dim", "per_class_train", "per_class_test",
-        "spread", "pca_dim", "image_path", "label_path", "csv_path",
-    },
-    "model": {"kind", "encoding", "layers", "n_qubits", "hidden_dim", "input_range", "reupload"},
-    "mode": {"kind", "channels"},
-    "attack": {"kind", "ratio", "eps", "step", "iters", "quid_variant", "random_start"},
-    "defense": {"wan_lr", "anneal_coeff", "beta_range", "sweeps", "keep_fraction", "seed"},
-    "train": {
-        "lr", "weight_decay", "batch_size", "epochs", "label_smoothing",
-        "optimizer", "spsa_step", "spsa_perturb", "seed",
-    },
-}
-_TOP_KEYS = {"data", "model", "mode", "attack", "defense", "train", "seeds", "out_dir", "train_mode", "sweep"}
-
-
-def _check_keys(section: str, payload: dict, required: tuple[str, ...] = ()) -> None:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"section {section!r} must be a mapping")
-    unknown = set(payload) - _SECTION_KEYS[section]
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown, key=str)}")
-    missing = [k for k in required if k not in payload]
-    if missing:
-        raise ConfigError(f"section {section!r} requires {missing}")
-
-
-# section -> (integer keys, real-number keys) whose values the dataclass
-# constructors or the runner compare and count with, so a wrongly typed value
-# must stop at parse time. ``data.pca_dim`` may also be null.
-_NUMERIC_KEYS = {
-    "data": (("n_classes", "dim", "per_class_train", "per_class_test", "pca_dim"), ("spread",)),
-    "model": (("layers", "n_qubits", "hidden_dim"), ()),
-    "train": (
-        ("batch_size", "epochs", "seed"),
-        ("lr", "weight_decay", "label_smoothing", "spsa_step", "spsa_perturb"),
-    ),
-    "attack": (("iters",), ("ratio", "eps", "step")),
-    "defense": (("sweeps", "seed"), ("wan_lr", "anneal_coeff", "keep_fraction")),
-}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_numeric(section: str, payload: dict) -> None:
-    ints, reals = _NUMERIC_KEYS[section]
-    for key in ints:
-        if key == "pca_dim" and payload.get(key) is None:
-            continue
-        if key in payload and not _is_int(payload[key]):
-            raise ConfigError(f"{section}.{key} must be an integer, got {payload[key]!r}")
-    for key in reals:
-        if key in payload and not _is_real(payload[key]):
-            raise ConfigError(f"{section}.{key} must be a number, got {payload[key]!r}")
-
-
 def _as_float(name: str, value) -> float:
-    if not _is_real(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is out of range, got {value!r}") from None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _parse_pair(name: str, raw) -> tuple[float, float]:
@@ -231,110 +198,81 @@ def _parse_pair(name: str, raw) -> tuple[float, float]:
     return (_as_float(name, raw[0]), _as_float(name, raw[1]))
 
 
-def _construct(cls, payload: dict):
-    """``cls(**payload)``, its range checks' ValueError raised as a
-    ConfigError."""
-    try:
-        return cls(**payload)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _parse_channels(name: str, raw) -> tuple[tuple[str, float], ...]:
+    if not isinstance(raw, (list, tuple)) or not all(
+        isinstance(ch, dict) and set(ch) == {"kind", "p"} and isinstance(ch["kind"], str)
+        for ch in raw
+    ):
+        raise ConfigError(f"{name} must be a list of {{kind, p}} mappings, got {raw!r}")
+    return tuple((ch["kind"], _as_float(f"{name} p", ch["p"])) for ch in raw)
 
 
-def _parse_seeds(raw) -> tuple[int, ...]:
+def _parse_seeds(name: str, raw) -> tuple[int, ...]:
     if not isinstance(raw, (list, tuple)) or not all(_is_int(s) for s in raw):
-        raise ConfigError(f"seeds must be a list of integers, got {raw!r}")
+        raise ConfigError(f"{name} must be a list of integers, got {raw!r}")
     return tuple(int(s) for s in raw)
 
 
-def _parse_channels(raw) -> tuple[tuple[str, float], ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError("mode.channels must be a list")
-    out = []
-    for ch in raw:
-        if not isinstance(ch, dict) or "kind" not in ch or "p" not in ch:
-            raise ConfigError(f"each noise channel needs 'kind' and 'p', got {ch!r}")
-        out.append((ch["kind"], _as_float("noise channel 'p'", ch["p"])))
-    return tuple(out)
+# Annotations whose values need more than a type check.
+_PARSERS = {
+    tuple[float, float]: _parse_pair,
+    tuple[tuple[str, float], ...]: _parse_channels,
+    tuple[int, ...]: _parse_seeds,
+}
+_SCALARS = {
+    int: (_is_int, "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _parse_value(annotation, value, name: str):
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if annotation in _PARSERS:
+        return _PARSERS[annotation](name, value)
+    if dataclasses.is_dataclass(annotation):
+        return _parse_section(annotation, value, name)
+    if annotation is float:
+        _as_float(name, value)
+        return value  # as given: an integer stays one in config_echo and config_hash
+    accepts, what = _SCALARS[annotation]
+    if not accepts(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _parse_section(cls, raw, name: str):
+    """``raw`` as a ``cls``, each value parsed by its field's annotation.
+    ``name`` is the section's key in error messages, "" for the root."""
+    where = f"section {name!r}" if name else "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields), key=str)
+    if unknown:
+        raise ConfigError(
+            f"unknown keys in {name!r}: {unknown}" if name else f"unknown top-level keys: {unknown}"
+        )
+    missing = [k for k, f in fields.items() if k not in raw and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{where} requires {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {k: _parse_value(hints[k], v, f"{name}.{k}" if name else k) for k, v in raw.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a kind or range check in __post_init__
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
-    if "data" not in raw or "model" not in raw:
-        raise ConfigError("config requires 'data' and 'model' sections")
-
-    _check_keys("data", raw["data"], required=("kind",))
-    _check_numeric("data", raw["data"])
-    data = DataConfig(**raw["data"])
-    if data.kind not in ("blobs", "mnist", "csv"):
-        raise ConfigError(f"unknown dataset kind {data.kind!r}")
-
-    _check_keys("model", raw["model"], required=("kind",))
-    _check_numeric("model", raw["model"])
-    mraw = dict(raw["model"])
-    if mraw.get("input_range") is not None:
-        mraw["input_range"] = _parse_pair("model.input_range", mraw["input_range"])
-    model = ModelSpecConfig(**mraw)
-    if model.kind not in ("qmlp", "qnn", "cmlp"):
-        raise ConfigError(f"unknown model kind {model.kind!r}")
-    if model.kind == "qmlp" and model.encoding not in ("angle", "amplitude"):
-        raise ConfigError(f"unknown qmlp encoding {model.encoding!r}")
-
-    mode = ModeConfig()
-    if "mode" in raw:
-        _check_keys("mode", raw["mode"])
-        mode_raw = dict(raw["mode"])
-        channels = _parse_channels(mode_raw.get("channels", ()))
-        mode = ModeConfig(kind=mode_raw.get("kind", "pure"), channels=channels)
-        if mode.kind not in ("pure", "mixed"):
-            raise ConfigError(f"unknown mode {mode.kind!r}")
-        if mode.kind == "pure" and channels:
-            raise ConfigError("pure mode takes no noise channels")
-
-    attack = None
-    if raw.get("attack") is not None:
-        _check_keys("attack", raw["attack"], required=("kind",))
-        _check_numeric("attack", raw["attack"])
-        attack = _construct(AttackConfig, raw["attack"])
-
-    defense = None
-    if raw.get("defense") is not None:
-        _check_keys("defense", raw["defense"])
-        _check_numeric("defense", raw["defense"])
-        draw = dict(raw["defense"])
-        if "beta_range" in draw:
-            draw["beta_range"] = _parse_pair("defense.beta_range", draw["beta_range"])
-        defense = _construct(QDetectConfig, draw)
-
-    train = TrainConfig()
-    if "train" in raw:
-        _check_keys("train", raw["train"])
-        _check_numeric("train", raw["train"])
-        train = _construct(TrainConfig, raw["train"])
-
-    seeds = _parse_seeds(raw.get("seeds", (0,)))
-    return ExperimentConfig(
-        data=data,
-        model=model,
-        mode=mode,
-        attack=attack,
-        defense=defense,
-        train=train,
-        seeds=seeds,
-        out_dir=str(raw.get("out_dir", "results")),
-        train_mode=str(raw.get("train_mode", "pure")),
-    )
-
-
-def load_config(path) -> ExperimentConfig:
-    import yaml
-
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    return parse_config(raw)
+    """The experiment a YAML mapping describes. A top-level ``sweep`` is
+    skipped: the CLI expands it into one config per cell."""
+    if isinstance(raw, dict):
+        raw = {k: v for k, v in raw.items() if k != "sweep"}
+    return _parse_section(ExperimentConfig, raw, "")
 
 
 def config_echo(config: ExperimentConfig) -> dict:

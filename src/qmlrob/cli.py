@@ -9,6 +9,7 @@ previous run). Each takes one YAML config plus overrides.
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import sys
 from dataclasses import replace
@@ -51,11 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    with open(args.config) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: config root must be a mapping")
-    config = bench.parse_config({k: v for k, v in raw.items() if k != "sweep"})
+    try:
+        with open(args.config) as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{args.config}: {' '.join(str(exc).split())}") from None
+    config = bench.parse_config(raw)
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
     if args.out is not None:
@@ -95,15 +97,12 @@ def check_sections(command: str, config: bench.ExperimentConfig, raw: dict) -> N
             raise ConfigError("defend runs need both attack and defense sections")
     elif command == "sweep":
         axes = raw.get("sweep")
-        if not axes or not isinstance(axes, dict):
-            raise ConfigError("sweep runs need a 'sweep' mapping of dotted keys to value lists")
-        layers = axes.get("model.layers")
-        if layers is not None and raw.get("model", {}).get("kind") == "qmlp":
-            bad = set(layers) - set(QMLP_SWEEP_LAYERS)
-            if bad:
-                raise ConfigError(
-                    f"qmlp depth sweeps are restricted to {QMLP_SWEEP_LAYERS}, got {sorted(bad)}"
-                )
+        if not axes or not isinstance(axes, dict) or not all(
+            isinstance(k, str) and isinstance(v, list) and v for k, v in axes.items()
+        ):
+            raise ConfigError(
+                "sweep runs need a 'sweep' mapping of dotted keys to non-empty value lists"
+            )
 
 
 def _cmd_single(args) -> None:
@@ -113,32 +112,43 @@ def _cmd_single(args) -> None:
 
 
 def _set_dotted(raw: dict, key: str, value):
-    parts = key.split(".")
+    *sections, last = key.split(".")
     node = raw
-    for p in parts[:-1]:
+    for p in sections:
         node = node.setdefault(p, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep key {key!r}: {p!r} is not a section")
+    node[last] = value
+
+
+def sweep_cells(raw: dict, out_dir: Path, seed: int | None = None) -> list[bench.ExperimentConfig]:
+    """One parsed config per cell of the config's sweep grid, each writing to
+    its own directory under ``out_dir`` (and running only ``seed``, if given).
+    Every cell is parsed here, so a bad cell stops the sweep before any runs."""
+    axes = raw["sweep"]
+    keys = sorted(axes)
+    cells = []
+    for values in itertools.product(*(axes[k] for k in keys)):
+        cell_raw = copy.deepcopy(raw)
+        for k, v in zip(keys, values):
+            _set_dotted(cell_raw, k, v)
+        cell = bench.parse_config(cell_raw)
+        model = cell.model
+        if "model.layers" in axes and model.kind == "qmlp" and model.layers not in QMLP_SWEEP_LAYERS:
+            raise ConfigError(
+                f"qmlp depth sweeps are restricted to {QMLP_SWEEP_LAYERS}, got {model.layers}"
+            )
+        if seed is not None:
+            cell = replace(cell, seeds=(seed,))
+        name = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, values))
+        cells.append(replace(cell, out_dir=str(out_dir / name)))
+    return cells
 
 
 def _cmd_sweep(args) -> None:
     config, raw = _load(args)
     check_sections("sweep", config, raw)
-    axes = raw["sweep"]
-    keys = sorted(axes)
-    base_out = Path(args.out) if args.out else Path(config.out_dir)
-    for values in itertools.product(*(axes[k] for k in keys)):
-        cell_raw = {k: v for k, v in raw.items() if k != "sweep"}
-        import copy
-
-        cell_raw = copy.deepcopy(cell_raw)
-        name = []
-        for k, v in zip(keys, values):
-            _set_dotted(cell_raw, k, v)
-            name.append(f"{k.split('.')[-1]}={v}")
-        cell = bench.parse_config(cell_raw)
-        if args.seed is not None:
-            cell = replace(cell, seeds=(args.seed,))
-        cell = replace(cell, out_dir=str(base_out / "_".join(name)))
+    for cell in sweep_cells(raw, Path(config.out_dir), args.seed):
         _run_single(cell, args.format)
 
 

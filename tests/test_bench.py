@@ -1,5 +1,6 @@
 """Experiment runner, report emission, and the CLI."""
 
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -23,7 +24,9 @@ from qmlrob.bench import (
     render_table,
     run_experiment,
 )
-from qmlrob.training import Metrics
+from qmlrob.attacks import AttackConfig
+from qmlrob.defense import QDetectConfig
+from qmlrob.training import Metrics, TrainConfig
 
 
 def base_raw(**overrides):
@@ -99,6 +102,14 @@ VALID = {
 }
 
 
+# The dataclass of each section: its fields are the section's keys.
+SECTIONS = {
+    "data": bench.DataConfig, "model": bench.ModelSpecConfig, "mode": bench.ModeConfig,
+    "attack": AttackConfig, "defense": QDetectConfig, "train": TrainConfig,
+}
+TOP_KEYS = {f.name for f in dataclasses.fields(bench.ExperimentConfig)} | {"sweep"}
+
+
 def _section(name, hostile):
     """A section mapping whose values are mostly valid; ``hostile`` sections
     may also carry an unknown key or be no mapping at all."""
@@ -107,7 +118,7 @@ def _section(name, hostile):
         valid = st.sampled_from(VALID[name].get(key, [None]))
         return st.integers(0, 9).flatmap(lambda i: YAML_VALUES if i == 0 else valid)
 
-    keys = sorted(bench._SECTION_KEYS[name])
+    keys = sorted(f.name for f in dataclasses.fields(SECTIONS[name]))
     optional = {k: value(k) for k in keys if k != "kind"}
     if hostile:
         optional["bogus"] = YAML_VALUES
@@ -133,7 +144,7 @@ def _configs(hostile):
 CONFIGS = st.one_of(
     _configs(hostile=False),
     _configs(hostile=True),
-    st.dictionaries(st.sampled_from(sorted(bench._TOP_KEYS) + ["bogus"]), YAML_VALUES, max_size=4),
+    st.dictionaries(st.sampled_from(sorted(TOP_KEYS) + ["bogus"]), YAML_VALUES, max_size=4),
 )
 
 
@@ -192,6 +203,7 @@ class TestConfigParsing:
             ["depolarizing"],
             [{"kind": "depolarizing", "p": "high"}],
             {"kind": "depolarizing", "p": 0.01},
+            [{"kind": "bogus", "p": 0.1}],
         ],
     )
     def test_malformed_channels_rejected(self, channels):
@@ -209,6 +221,10 @@ class TestConfigParsing:
             ("attack", "eps", None),
             ("defense", "wan_lr", "0.1"),
             ("defense", "sweeps", 1.0),
+            pytest.param("train", "lr", 10**400, id="train-lr-huge_integer"),
+            ("train", "lr", float("nan")),
+            ("defense", "anneal_coeff", float("inf")),
+            ("attack", "random_start", 1),
         ],
     )
     def test_wrongly_typed_numbers_rejected(self, section, key, value):
@@ -228,6 +244,8 @@ class TestConfigParsing:
             ("model", "layers", "two"),
             ("model", "n_qubits", None),
             ("model", "hidden_dim", False),
+            pytest.param("data", "spread", 10**400, id="data-spread-huge_integer"),
+            ("model", "reupload", "no"),
         ],
     )
     def test_wrongly_typed_data_and_model_numbers_rejected(self, section, key, value):
@@ -264,6 +282,12 @@ class TestConfigParsing:
             ("attack", {"kind": "teleport"}),
             ("train", {"optimizer": "sgd"}),
             ("defense", {"beta_range": [2.0, 1.0]}),
+            ("train_mode", "bogus"),
+            ("data", {"kind": "blobs", "dim": 0}),
+            ("data", {"kind": "blobs", "per_class_train": 0}),
+            ("data", {"kind": "blobs", "pca_dim": 0}),
+            ("data", {"kind": "csv"}),
+            ("data", {"kind": "mnist", "image_path": "x"}),
         ],
     )
     def test_dataclass_range_errors_are_config_errors(self, section, payload):
@@ -548,6 +572,15 @@ class TestCli:
             lambda raw: raw.update(seeds=3),
             lambda raw: raw.update(model={"kind": "qmlp", "layers": "two"}),
             lambda raw: raw["data"].update(per_class_test="3"),
+            lambda raw: raw.update(mode={"kind": "mixed", "channels": [{"kind": "bogus", "p": 0.1}]}),
+            lambda raw: raw.update(train_mode="bogus"),
+            lambda raw: raw["model"].update(reupload="no"),
+            lambda raw: raw.update(attack={"kind": "pgd", "eps": 0.1, "random_start": 1}),
+            lambda raw: raw["train"].update(lr=10**400),
+            lambda raw: raw["data"].update(spread=10**400),
+            lambda raw: raw["train"].update(lr=float("inf")),
+            lambda raw: raw["data"].update(per_class_test=0),
+            lambda raw: raw["data"].update(kind="csv"),
         ],
         ids=[
             "channel_without_p",
@@ -557,6 +590,15 @@ class TestCli:
             "scalar_seeds",
             "string_model_layers",
             "string_per_class_test",
+            "unknown_channel_kind",
+            "unknown_train_mode",
+            "string_reupload",
+            "integer_random_start",
+            "huge_integer_lr",
+            "huge_integer_spread",
+            "infinite_lr",
+            "zero_per_class_test",
+            "csv_without_path",
         ],
     )
     def test_malformed_config_gives_one_error_line(self, tmp_path, edit):
@@ -568,6 +610,33 @@ class TestCli:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
         assert "range()" not in result.stderr
+        assert not (tmp_path / "out" / "seed_0").exists()
+
+    def test_malformed_yaml_gives_one_error_line(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("data: {kind: blobs\nmodel: {kind: cmlp}\n")
+        result = run_cli(["baseline", "--config", str(path)], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"model.layers": 3},
+            {"data.kind.x": [1]},
+            {"train.lr": [0.01, "fast"]},
+            {"model.kind": ["cmlp", "qmlp"], "model.layers": [3]},
+        ],
+        ids=["scalar_axis", "key_below_a_value", "bad_second_cell", "qmlp_depth_of_a_swept_kind"],
+    )
+    def test_bad_sweep_axis_gives_one_error_line_before_any_cell_runs(self, tmp_path, axes):
+        raw = base_raw(out_dir=str(tmp_path / "out"), seeds=[0], sweep=axes)
+        result = run_cli(["sweep", "--config", str(self.write_config(tmp_path, raw))], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "defense",
@@ -653,3 +722,39 @@ class TestRunAllConfigs:
         ]
         with pytest.raises(SystemExit):
             module.parse_args(["--seed", "one"])
+
+
+# config_hash is a column of every table.tsv: these values pin it for each
+# shipped config and sweep cell, and for a config whose float fields are given
+# as integers (kept as integers, except pairs and channel p, which become floats).
+PINNED_HASHES = {
+    "baseline_noise.yaml": "d158ba0197720726",
+    "depth_sweep.yaml": "aec6a5f48d8e22d9",
+    "depth_sweep.yaml:layers=2": "aec6a5f48d8e22d9",
+    "depth_sweep.yaml:layers=10": "897ca44b808f0199",
+    "fgsm.yaml": "e095c6f1b602ceef",
+    "label_flip.yaml": "0bf681cbe39bda3f",
+    "malware_shape.yaml": "33fda3d6e68d103e",
+    "quid_defended.yaml": "d8c3057c7736fc94",
+    "integer_floats": "6feb03150ac8fff0",
+}
+
+
+def test_config_hash_is_pinned():
+    got = {}
+    for path in sorted((REPO / "configs").glob("*.yaml")):
+        raw = yaml.safe_load(path.read_text())
+        got[path.name] = config_hash(parse_config(raw))
+        if raw.get("sweep"):
+            for cell in cli.sweep_cells(raw, Path("out")):
+                got[f"{path.name}:{Path(cell.out_dir).name}"] = config_hash(cell)
+    raw = base_raw(
+        model={"kind": "qmlp", "n_qubits": 4, "input_range": [0, 1]},
+        mode={"kind": "mixed", "channels": [{"kind": "depolarizing", "p": 0}]},
+        attack={"kind": "label_flip", "ratio": 1},
+        defense={"keep_fraction": 1, "beta_range": [0, 2]},
+    )
+    raw["data"]["spread"] = 1
+    raw["train"]["lr"] = 1
+    got["integer_floats"] = config_hash(parse_config(raw))
+    assert got == PINNED_HASHES
