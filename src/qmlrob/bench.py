@@ -60,6 +60,8 @@ class DataConfig:
         for key in ("dim", "per_class_train", "per_class_test", "pca_dim"):
             if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ConfigError(f"data.{key} must be >= 1")
+        if self.n_classes < 2:
+            raise ConfigError("data.n_classes must be >= 2")
         for key in {"csv": ("csv_path",), "mnist": ("image_path", "label_path")}.get(self.kind, ()):
             if getattr(self, key) is None:
                 raise ConfigError(f"data.kind {self.kind} needs data.{key}")

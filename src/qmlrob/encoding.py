@@ -4,9 +4,10 @@ Three schemes are supported: one RY rotation per qubit (angle), a normalized
 amplitude write (amplitude), and the four-rotation-per-qubit dense angle
 sequence used by the 4-qubit QNN.
 
-Each encoder is built here once, for a whole batch: ``encoder_gates`` gives
-its tagged per-sample gates and ``initial_amplitudes`` the state they start
-from. The models' circuits and ``encode_states`` both use them.
+Each encoder is defined here once: ``encoder_structure`` gives its gates,
+each tagged with the input feature its angle comes from, ``encoder_gates``
+those gates for a batch and ``initial_amplitudes`` the state they start
+from. The models' circuits and ``encode_states`` use them.
 """
 
 from __future__ import annotations
@@ -33,31 +34,36 @@ class EncodingSpec:
             raise ValueError("input_range must be ascending")
 
 
-def encoder_gates(X: np.ndarray, kind: str, n_qubits: int) -> list[GateOp]:
-    """The encoder's gates for inputs ``X`` ([B, F], or one input [F]), each
-    angle ``X[..., i]`` (per sample) and tagged with its feature.
+def encoder_structure(kind: str, n_qubits: int, n_features: int) -> list[tuple]:
+    """The encoder's gates for inputs of ``n_features`` as (kind, targets,
+    tag): the gate's angle is ``scale * x[i]`` for its tag ("x", i, scale).
 
     angle: one RY(x_q) on qubit q; qubits past the feature count stay
     untouched. dense_angle: per qubit q with (a, b) = (x[2q], x[2q+1]):
     RZ(a), RX(b), RZ(a/2), RX(b/2), in that order. amplitude: no gates.
     """
-    n_features = X.shape[-1]
     if kind == "angle":
         if n_features > n_qubits:
             raise ValueError(f"{n_features} features exceed {n_qubits} qubits")
-        return [GateOp("RY", (q,), X[..., q], ("x", q, 1.0)) for q in range(n_features)]
+        return [("RY", (q,), ("x", q, 1.0)) for q in range(n_features)]
     if kind == "amplitude":
         return []
     if n_features != 2 * n_qubits:
         raise ValueError(f"dense angle encoding needs {2 * n_qubits} features, got {n_features}")
-    ops = []
-    for q in range(n_qubits):
-        a, b = X[..., 2 * q], X[..., 2 * q + 1]
-        ops.append(GateOp("RZ", (q,), a, ("x", 2 * q, 1.0)))
-        ops.append(GateOp("RX", (q,), b, ("x", 2 * q + 1, 1.0)))
-        ops.append(GateOp("RZ", (q,), a / 2, ("x", 2 * q, 0.5)))
-        ops.append(GateOp("RX", (q,), b / 2, ("x", 2 * q + 1, 0.5)))
-    return ops
+    return [
+        (g, (q,), ("x", 2 * q + (g == "RX"), scale))
+        for q in range(n_qubits)
+        for scale in (1.0, 0.5)
+        for g in ("RZ", "RX")
+    ]
+
+
+def encoder_gates(X: np.ndarray, kind: str, n_qubits: int) -> list[GateOp]:
+    """``encoder_structure``'s gates for inputs ``X`` ([B, F], or one [F])."""
+    return [
+        GateOp(g, ts, tag[2] * X[..., tag[1]], tag)
+        for g, ts, tag in encoder_structure(kind, n_qubits, X.shape[-1])
+    ]
 
 
 def initial_amplitudes(X: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:

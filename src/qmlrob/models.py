@@ -4,15 +4,15 @@ Three model families: the re-uploading QMLP (angle or amplitude encoding,
 ring CRX entanglers), the 4-qubit dense-angle QNN with all-to-all CRX
 entanglers, and a one-hidden-layer classical MLP baseline.
 
-A model's circuit is a list of ``sim.GateOp`` for a whole batch, with the
-encoder's gates and initial amplitudes from ``encoding``; every pass runs it
-as ``sim``'s fused blocks. Quantum gradients come from an adjoint backward
-sweep (exact for expectation readouts) that starts from the state of the one
-forward pass it also reads the logits from. Per block it
-reduces the ket and bra to a small local cross matrix, reads every member
-gate's gradient from it, and undoes the block with one kernel call; a dense
-segment of shared gates is undone with one matmul and read from one
-weighted full-register cross matrix. A
+A model's circuit, with the encoder's gates and initial amplitudes from
+``encoding``, is compiled once per (config, feature count) into a
+``sim.Program`` that every pure and noisy pass binds to its parameters and
+batch. Quantum gradients come from an adjoint backward sweep (exact for
+expectation readouts) that starts from the state of the one forward pass it
+also reads the logits from. Per block it reduces the ket and bra to a small
+local cross matrix, reads every member gate's gradient from it, and undoes
+the block with one kernel call; a dense segment of shared gates is undone
+with one matmul and read from one weighted full-register cross matrix. A
 parameter-shift path with the four-term rule for controlled rotations runs
 gate by gate and is kept alongside as an independent cross-check.
 """
@@ -20,13 +20,14 @@ gate by gate and is kept alongside as an independent cross-check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sim
-from .encoding import EncodingSpec, encoder_gates, initial_amplitudes
+from .encoding import EncodingSpec, encoder_structure, initial_amplitudes
 from .sim import CircuitSpec, GateOp, KrausChannel, StateVector
 
 CHECKPOINT_VERSION = 1
@@ -187,83 +188,58 @@ def unflatten_params(template, vec: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Circuit programs. A program is the gate list of a model evaluated over a
-# whole batch: variational angles are scalars shared across the batch,
-# encoding angles are per-sample vectors. Tags record which parameter (or
-# input feature, with its chain-rule scale) each gate's angle came from.
+# Circuit programs. A model's circuit is a list of (kind, targets, tag), the
+# tag naming the flat parameter (variational angles, shared by a batch) or
+# input feature (encoding angles, per sample) of each angle, with its
+# chain-rule scale. ``_compiled`` holds it as a ``sim.Program``; ``_program``
+# spells it out as ``GateOp``s with angles, the gate-by-gate reference.
 # ---------------------------------------------------------------------------
 
 
-def _qmlp_program(
-    config: QmlpConfig, params: QmlpParams, X: np.ndarray
-) -> tuple[list[GateOp], np.ndarray]:
+def _gates(config: QmlpConfig | Pqc6Config, n_features: int) -> list[tuple]:
+    """The circuit for inputs of ``n_features``. QMLP: per layer the angle
+    encoding (every layer, or the first only without re-uploading; an
+    amplitude-encoded input has no gates), RY and RZ on every qubit, then a
+    ring of CRX entanglers. QNN: the dense-angle encoding once, then per
+    layer RY, RZ and RX on every qubit and a CRX for every ordered pair."""
+    n, qnn = config.n_qubits, isinstance(config, Pqc6Config)
+    if not qnn and config.encoding.kind not in ("angle", "amplitude"):
+        raise ValueError(f"QMLP does not support {config.encoding.kind!r} encoding")
+    encode = encoder_structure("dense_angle" if qnn else config.encoding.kind, n, n_features)
+    rotations = ("RY", "RZ", "RX") if qnn else ("RY", "RZ")
+    pairs = ([(c, t) for c in range(n) for t in range(n) if c != t] if qnn
+             else [(q, (q + 1) % n) for q in range(n) if n > 1])
+    gates = []
+    for layer in range(config.layers):
+        gates += encode if layer == 0 or (not qnn and config.reupload) else []
+        for q in range(n):
+            gates += [(g, (q,), ("theta", (layer * n + q) * 3 + k, 1.0))
+                      for k, g in enumerate(rotations)]
+        for j, pair in enumerate(pairs):
+            i = config.layers * n * 3 + layer * len(pairs) + j if qnn else (layer * n + j) * 3 + 2
+            gates.append(("CRX", pair, ("theta", i, 1.0)))
+    return gates
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled(config: QmlpConfig | Pqc6Config, n_features: int) -> sim.Program:
+    return sim.Program(config.n_qubits, tuple(_gates(config, n_features)))
+
+
+def _initial(model: QuantumModel, X: np.ndarray) -> np.ndarray:
+    kind = model.config.encoding.kind if isinstance(model, QmlpModel) else "dense_angle"
+    return initial_amplitudes(X, kind, model.config.n_qubits)
+
+
+def _program(model: QuantumModel, X: np.ndarray) -> tuple[list[GateOp], np.ndarray]:
     """Gate list plus initial amplitudes [B, 2**n] for a batch X [B, F] (or
     one input [F], with scalar encoding angles and amplitudes [2**n])."""
-    n = config.n_qubits
-    theta = params.theta
-    kind = config.encoding.kind
-    if kind not in ("angle", "amplitude"):
-        raise ValueError(f"QMLP does not support {kind!r} encoding")
-    encode = encoder_gates(X, kind, n)
-    ops: list[GateOp] = []
-    for layer in range(config.layers):
-        if config.reupload or layer == 0:
-            ops += encode
-        base = (layer * n) * 3
-        for q in range(n):
-            ops.append(
-                GateOp("RY", (q,), float(theta[layer, q, 0]), ("theta", base + 3 * q, 1.0))
-            )
-            ops.append(
-                GateOp("RZ", (q,), float(theta[layer, q, 1]), ("theta", base + 3 * q + 1, 1.0))
-            )
-        if n > 1:
-            for q in range(n):
-                ops.append(
-                    GateOp(
-                        "CRX",
-                        (q, (q + 1) % n),
-                        float(theta[layer, q, 2]),
-                        ("theta", base + 3 * q + 2, 1.0),
-                    )
-                )
-    return ops, initial_amplitudes(X, kind, n)
-
-
-def _pqc6_program(
-    config: Pqc6Config, params: Pqc6Params, X: np.ndarray
-) -> tuple[list[GateOp], np.ndarray]:
-    n = config.n_qubits
-    ops = encoder_gates(X, "dense_angle", n)
-    rot_size = config.layers * n * 3
-    for layer in range(config.layers):
-        for q in range(n):
-            for k, g in enumerate(("RY", "RZ", "RX")):
-                ops.append(
-                    GateOp(
-                        g,
-                        (q,),
-                        float(params.rot[layer, q, k]),
-                        ("theta", (layer * n + q) * 3 + k, 1.0),
-                    )
-                )
-        j = 0
-        for c in range(n):
-            for t in range(n):
-                if c == t:
-                    continue
-                flat = rot_size + layer * n * (n - 1) + j
-                ops.append(
-                    GateOp("CRX", (c, t), float(params.ent[layer, j]), ("theta", flat, 1.0))
-                )
-                j += 1
-    return ops, initial_amplitudes(X, "dense_angle", n)
-
-
-def _program(model: QuantumModel, X: np.ndarray):
-    if isinstance(model, QmlpModel):
-        return _qmlp_program(model.config, model.params, X)
-    return _pqc6_program(model.config, model.params, X)
+    flat = flatten_params(model.params)
+    ops = [
+        GateOp(kind, ts, tag[2] * (flat[tag[1]] if tag[0] == "theta" else X[..., tag[1]]), tag)
+        for kind, ts, tag in _gates(model.config, X.shape[-1])
+    ]
+    return ops, _initial(model, X)
 
 
 def _grad_tree(model: QuantumModel, dflat: np.ndarray, dhw: np.ndarray, dhb: np.ndarray):
@@ -280,7 +256,7 @@ def build_qmlp_circuit(
     """Single-sample circuit: per-layer re-uploaded angle encoding (or a
     one-shot amplitude preparation) followed by RY/RZ rotations and a ring of
     CRX entanglers."""
-    ops, init = _qmlp_program(config, params, np.asarray(x, dtype=float))
+    ops, init = _program(QmlpModel(config, params), np.asarray(x, dtype=float))
     initial = None
     if config.encoding.kind == "amplitude":
         initial = StateVector(config.n_qubits, init)
@@ -292,7 +268,7 @@ def build_pqc6_circuit(
 ) -> CircuitSpec:
     """Single-sample QNN circuit: dense-angle encoding once, then per layer
     RY/RZ/RX on every qubit and a CRX for every ordered qubit pair."""
-    ops, _ = _pqc6_program(config, params, np.asarray(x, dtype=float))
+    ops, _ = _program(Pqc6Model(config, params), np.asarray(x, dtype=float))
     return CircuitSpec(config.n_qubits, tuple(ops))
 
 
@@ -320,18 +296,18 @@ def quantum_features(
 ) -> np.ndarray:
     """Per-qubit Pauli-Z expectations [B, n_qubits] for a batch."""
     X = np.asarray(X, dtype=float)
-    n = model.config.n_qubits
-    ops, init = _program(model, X)
-    zd = _z_diags(n)
+    init = _initial(model, X)
+    program, params = _compiled(model.config, X.shape[1]), flatten_params(model.params)
+    zd = _z_diags(model.config.n_qubits)
     if mode == "pure":
         if noise:
             raise ValueError("pure mode requires an empty noise policy")
-        amps = sim._forward_amps(sim._densify(sim._fuse(ops), n), init)
+        amps = sim._forward_amps(program.bind(params, X)[0], init)
         return (np.abs(amps) ** 2) @ zd.T
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
     dm = np.einsum("bi,bj->bij", init, init.conj())
-    dm = sim._forward_dm(sim._fuse(ops), dm, noise)
+    dm = program.forward_dm(params, X, dm, noise)
     diag = np.einsum("bii->bi", dm).real
     return diag @ zd.T
 
@@ -381,14 +357,15 @@ def predict_batch(
 # subspace, the only part its generator sees). A member's gradient is
 # Im Tr(G M_k), with M_k = W^dagger M W the cross matrix just after it and W
 # the product of the block's members after it; the sweep reads it as
-# Im Tr((W G W^dagger) M), so the 2x2 algebra stays unbatched for shared
-# gates. The whole block is then undone on ket and lambda with one kernel
-# call. A dense segment (``sim._densify``) is first undone with one matmul by
-# conj(U), its total unitary. At its start the sweep forms one weighted
-# cross matrix M0 = sum_b w_b |psi_b><lambda_b| [dim, dim], shared by the
-# batch; the state just after member k is P_k |psi>, with P_k the segment's
-# prefix product through k, so the member's weighted gradient is
-# Im Tr(G_k P_k M0 P_k^dagger), read for every member at once.
+# Im Tr((W G W^dagger) M), with every W G W^dagger formed before the sweep,
+# a few stacked matmuls per group of like blocks (``conj_generators``). The
+# whole block is then undone on ket and lambda with one kernel call. A dense
+# segment is first undone with one matmul by conj(U), its total unitary. At
+# its start the sweep forms one weighted cross matrix M0 = sum_b w_b
+# |psi_b><lambda_b| [dim, dim], shared by the batch; the state just after
+# member k is P_k |psi>, with P_k the segment's prefix product through k, so
+# the member's weighted gradient is Im Tr(G_k P_k M0 P_k^dagger), read for
+# every member at once.
 # ---------------------------------------------------------------------------
 
 
@@ -428,53 +405,6 @@ def _segment_grads(seg: sim._Segment, m0: np.ndarray) -> np.ndarray:
     return np.sum(seg.gens * t, axis=(1, 2)).imag
 
 
-def _dagger(mat: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(mat, -1, -2))
-
-
-def _adjoint_backward(
-    blocks: list[sim._Block],
-    psi_final: np.ndarray,
-    lam: np.ndarray,
-    n_params: int,
-    n_features: int,
-    sample_scale: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dtheta [n_params], dX [B, n_features], final bra); per-sample
-    gate grads are reduced into dtheta at their tag indices with
-    ``sample_scale`` weights. ``blocks`` are the forward pass's."""
-    state = np.stack([psi_final, lam], axis=1)  # [B, 2, dim]: ket, bra
-    dtheta = np.zeros(n_params)
-    dX = np.zeros((psi_final.shape[0], n_features))
-    for block in reversed(blocks):
-        if isinstance(block, sim._Segment):
-            state = sim.apply_dense(state, _dagger(block.mat))
-            m0 = (sample_scale[:, None] * state[:, 0]).T @ state[:, 1].conj()
-            for op, g in zip(block.members, _segment_grads(block, m0)):
-                if op.tag is not None:  # a "theta" tag; segments hold no input tags
-                    dtheta[op.tag[1]] += op.tag[2] * g
-            continue
-        m = None
-        after = None  # product of the members after the current one
-        for ins, mat in zip(reversed(block.members), reversed(block.mats)):
-            if ins.tag is not None:
-                if m is None:
-                    m = _cross_matrix(state, block.targets)
-                    m_scaled = sample_scale[:, None, None] * m
-                gen = sim._GENERATORS[ins.kind]
-                if after is not None:
-                    gen = after @ gen @ _dagger(after)
-                gen_t = np.swapaxes(gen, -1, -2)
-                what, idx, scale = ins.tag
-                if what == "theta":
-                    dtheta[idx] += scale * float(np.sum(gen_t * m_scaled).imag)
-                else:
-                    dX[:, idx] += scale * sample_scale * np.sum(gen_t * m, axis=(-2, -1)).imag
-            after = mat if after is None else after @ mat
-        state = sim._apply_instr(state, block, _dagger(block.mat))
-    return dtheta, dX, state[:, 1]
-
-
 def _quantum_backward(
     model: QuantumModel,
     X: np.ndarray,
@@ -484,32 +414,53 @@ def _quantum_backward(
     """Logits and weighted-sum gradients from one forward pass.
     ``loss_grad`` maps the logits [B, C] to per-sample dL/dlogits [B, C].
     Returns (logits, param grads, dX [B, F] per-sample); the logits equal
-    ``forward_batch``'s bit for bit."""
+    ``forward_batch``'s bit for bit. Per-sample gate grads are reduced into
+    the parameter grads with the sample weights."""
     X = np.asarray(X, dtype=float)
     B = X.shape[0]
     w = np.ones(B) if sample_weights is None else np.asarray(sample_weights, dtype=float)
     n = model.config.n_qubits
     head_w = model.params.head_w
 
-    ops, init = _program(model, X)
-    blocks = sim._densify(sim._fuse(ops), n)
-    psi = sim._forward_amps(blocks, init)
+    program, params = _compiled(model.config, X.shape[1]), flatten_params(model.params)
+    items, stacks = program.bind(params, X)
+    psi = sim._forward_amps(items, _initial(model, X))
     zd = _z_diags(n)
     z = (np.abs(psi) ** 2) @ zd.T
     logits = z @ head_w.T + model.params.head_b
     dlogits = loss_grad(logits)
 
     obs_w = dlogits @ head_w  # [B, n] = dL/dz
-    diag = obs_w @ zd  # [B, dim]
-    lam = diag * psi
-
-    n_params = flatten_params(model.params).size
-    dflat, dX, lam0 = _adjoint_backward(blocks, psi, lam, n_params, X.shape[1], w)
+    state = np.stack([psi, (obs_w @ zd) * psi], axis=1)  # [B, 2, dim]: ket, bra
+    dflat = np.zeros(params.size)
+    dX = np.zeros(X.shape)
+    conj_gens = program.conj_generators(stacks)
+    for item in reversed(items):
+        if isinstance(item, sim._Segment):
+            state = sim.apply_dense(state, sim._dagger(item.prefix[-1]))
+            m0 = (w[:, None] * state[:, 0]).T @ state[:, 1].conj()
+            g = list(item.members)  # shared gates: "theta" tags, or none (scale 0)
+            np.add.at(dflat, program.idx[g], program.scale[g] * _segment_grads(item, m0))
+            continue
+        block, mat = item
+        m = None
+        for g, gen_t in zip(reversed(block.members), conj_gens[block]):
+            if program.tags[g] is None:
+                continue
+            if m is None:
+                m = _cross_matrix(state, block.targets)
+                m_scaled = w[:, None, None] * m
+            what, idx, scale = program.tags[g]
+            if what == "theta":
+                dflat[idx] += scale * float((gen_t * m_scaled).sum().imag)
+            else:
+                dX[:, idx] += scale * w * (gen_t * m).sum(axis=(-2, -1)).imag
+        state = sim._apply_instr(state, block, sim._dagger(mat))
 
     if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
         # d<O>/dv through v/||v||, v = zero-padded x (grads are real-valued).
         norms = np.linalg.norm(X, axis=1)
-        gr = 2.0 * lam0.real[:, : X.shape[1]]
+        gr = 2.0 * state[:, 1].real[:, : X.shape[1]]
         inner = np.sum(gr * X, axis=1) / norms
         dX = dX + w[:, None] * (gr / norms[:, None] - X * (inner / norms**2)[:, None])
 

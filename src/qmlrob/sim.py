@@ -17,16 +17,16 @@ rho[i, j]``, so ``rho'[i, j] = sum_{k, l} S[i*d + j, k*d + l] rho[k, l]``. A
 unitary contributes ``kron(U, conj(U))``; channels multiply it from the left
 in the order they act.
 
-``GateOp`` is the one gate type; its angle may be per sample, so one gate
-list describes a whole batch. Every circuit pass runs the fused blocks of
-``_fuse`` (see there): one kernel call, or one superoperator, per block. On
-registers of at most ``N_DENSE`` qubits the pure path makes a second pass,
-``_densify``: each run of blocks whose angles the whole batch shares becomes
-one dense segment, applied with one matmul (see there). The noisy path builds
-every block's superoperator for the whole program in a few batched calls
-(``_block_superops``), then applies them to a density matrix kept as a
-``[B] + [2] * 2n`` array in a tracked axis order (``_apply_superops``): each
-block moves only its targets' axes last, with one copy.
+``GateOp`` is the public single-gate type; its angle may be per sample, so
+one gate list describes a whole batch. Every circuit pass runs a ``Program``:
+a circuit's structure compiled once, bound to its angles per call. It walks
+the fused blocks of ``_fuse``: one kernel call, or one superoperator, per
+block. On at most ``N_DENSE`` qubits the pure path runs each run of blocks
+whose angles the whole batch shares as one dense segment, one matmul. The
+noisy path builds every block's superoperator in a few batched calls, then
+applies them to a density matrix kept as a ``[B] + [2] * 2n`` array in a
+tracked axis order (``_apply_superops``): each block moves only its targets'
+axes last, with one copy.
 
 Measurement is an exact expectation value; there is no shot sampling.
 """
@@ -456,35 +456,23 @@ def apply_local_superop(dm: np.ndarray, s: np.ndarray, targets: tuple[int, ...])
 @dataclass(frozen=True)
 class _Block:
     targets: tuple[int, ...]
-    members: tuple[GateOp, ...]  # in circuit order
-
-    @functools.cached_property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        """Each member's base_matrix()."""
-        return tuple(op.base_matrix() for op in self.members)
-
-    @functools.cached_property
-    def mat(self) -> np.ndarray:
-        """mats[-1] @ ... @ mats[0]; one per sample if any member is."""
-        fused = self.mats[0]
-        for mat in self.mats[1:]:
-            fused = mat @ fused
-        return fused
+    members: tuple[int, ...]  # gate indices, in circuit order
 
 
-def _fuse(ops) -> list[_Block]:
-    runs: list[tuple[tuple[int, ...], list[GateOp]]] = []
+def _fuse(targets) -> list[_Block]:
+    """The blocks of a circuit whose gates act on ``targets`` (one per gate)."""
+    runs: list[tuple[tuple[int, ...], list[int]]] = []
     open_run: dict[int, int] = {}  # qubit -> index of its open single-qubit run
-    for op in ops:
-        if len(op.targets) == 1 and op.targets[0] in open_run:
-            runs[open_run[op.targets[0]]][1].append(op)
+    for i, ts in enumerate(targets):
+        if len(ts) == 1 and ts[0] in open_run:
+            runs[open_run[ts[0]]][1].append(i)
             continue
-        for q in op.targets:
+        for q in ts:
             open_run.pop(q, None)
-        if len(op.targets) == 1:
-            open_run[op.targets[0]] = len(runs)
-        runs.append((op.targets, [op]))
-    return [_Block(targets, tuple(members)) for targets, members in runs]
+        if len(ts) == 1:
+            open_run[ts[0]] = len(runs)
+        runs.append((ts, [i]))
+    return [_Block(ts, tuple(members)) for ts, members in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +484,9 @@ def _fuse(ops) -> list[_Block]:
 # on target t (within the control-1 rows, for two targets) fills row ``a``
 # of the full matrix at the two columns that agree with ``a`` outside bit t,
 # with m[bit t of a, 0 | 1]; the other rows keep the identity. Those index
-# maps, and the pieces of each member's 2x2 matrix, are cached per gate
-# structure, so building every U_k of a run takes a few whole-run numpy ops.
+# maps, and the pieces of each member's 2x2 matrix, are part of the compiled
+# program, so building every U_k of every segment of one length takes a few
+# numpy ops.
 # ---------------------------------------------------------------------------
 
 # Widest register whose shared gate runs become dense segments. Measured with
@@ -508,77 +497,30 @@ N_DENSE = 5
 
 @dataclass(frozen=True)
 class _Segment:
-    members: tuple[GateOp, ...]  # in circuit order
+    members: tuple[int, ...]  # gate indices, in circuit order
     cols: np.ndarray  # [K, dim, 2]: the row index with bit t set to 0 | 1
     gens: np.ndarray  # [K, dim, 2]: G_k at (row, cols); 0 for fixed gates
-    prefix: np.ndarray  # [K, dim, dim]: P_k = U_k ... U_1
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.prefix[-1]
+    prefix: np.ndarray  # [K, dim, dim]: P_k = U_k ... U_1; the last is U
 
 
-@functools.lru_cache(maxsize=16)
-def _embedding(n_qubits: int, gates: tuple[tuple[str, tuple[int, ...]], ...]):
-    """For a run of (kind, targets): each member's 2x2 matrix is ``fixed +
+def _embedding(n_qubits: int, runs: list[list[tuple[str, tuple[int, ...]]]]):
+    """For S runs of K (kind, targets): each member's 2x2 matrix is ``fixed +
     cos(angle / 2) rot - i sin(angle / 2) gen``, with ``fixed`` the fixed
     gate's matrix, ``rot`` I and ``gen`` the generator, or 0 where they do
-    not apply ([K, 2, 2] each); and per member and row, the target bit
-    ``rows`` [K, dim], the columns ``cols`` [K, dim, 2] and whether the
-    member acts on the row, ``active`` [K, dim]."""
+    not apply ([S, K, 2, 2] each); and per member and row, the target bit
+    ``rows`` [S, K, dim], the columns ``cols`` [S, K, dim, 2] and whether the
+    member acts on the row, ``active`` [S, K, dim]."""
     zero = np.zeros((2, 2))
-    fixed = np.array([_FIXED_GATES.get(kind, zero) for kind, _ in gates])
-    rot = np.array([_I if kind in ROTATION_GATES else zero for kind, _ in gates])
-    gen = np.array([_GENERATORS.get(kind, zero) for kind, _ in gates])
+    fixed = np.array([[_FIXED_GATES.get(kind, zero) for kind, _ in run] for run in runs])
+    rot = np.array([[_I if kind in ROTATION_GATES else zero for kind, _ in run] for run in runs])
+    gen = np.array([[_GENERATORS.get(kind, zero) for kind, _ in run] for run in runs])
     a = np.arange(1 << n_qubits)
-    t = np.array([ts[-1] for _, ts in gates])[:, None]
-    c = np.array([ts[0] for _, ts in gates])[:, None]
+    t = np.array([[ts[-1] for _, ts in run] for run in runs])[..., None]
+    c = np.array([[ts[0] for _, ts in run] for run in runs])[..., None]
     low = a & ~(1 << t)
     cols = np.stack([low, low | (1 << t)], axis=-1)
     active = (t == c) | (((a >> c) & 1) == 1)
-    out = (fixed, rot, gen, (a >> t) & 1, cols, active)
-    for x in out:
-        x.flags.writeable = False  # shared by every caller of the cache
-    return out
-
-
-def _segment(blocks: list[_Block], n_qubits: int) -> _Segment:
-    members = tuple(op for b in blocks for op in b.members)
-    fixed, rot, gen, rows, cols, active = _embedding(
-        n_qubits, tuple((op.kind, op.targets) for op in members)
-    )
-    half = np.array([op.angle or 0.0 for op in members])[:, None, None] / 2
-    mats = fixed + np.cos(half) * rot - 1j * np.sin(half) * gen
-    K, dim = rows.shape
-    k = np.arange(K)[:, None]
-    prefix = np.zeros((K, dim, dim), dtype=complex)
-    prefix[k[..., None], np.arange(dim)[:, None], cols] = np.where(
-        active[..., None], mats[k, rows], _I[rows]
-    )
-    for i in range(1, K):
-        np.matmul(prefix[i], prefix[i - 1], out=prefix[i])
-    gens = np.where(active[..., None], gen[k, rows], 0)
-    return _Segment(members, cols, gens, prefix)
-
-
-def _shared(op: GateOp) -> bool:
-    return getattr(op.angle, "ndim", 0) == 0 and (op.tag is None or op.tag[0] == "theta")
-
-
-def _densify(blocks: list[_Block], n_qubits: int) -> list[_Block | _Segment]:
-    """The pure path's second pass over ``_fuse``'s blocks: for at most
-    ``N_DENSE`` qubits, each maximal run of blocks whose members all have
-    shared angles (and no input tag) becomes one dense segment."""
-    if n_qubits > N_DENSE:
-        return blocks
-    out: list[_Block | _Segment] = []
-    runs = itertools.groupby(blocks, key=lambda b: all(_shared(op) for op in b.members))
-    for shared, run in runs:
-        if shared:
-            out.append(_segment(list(run), n_qubits))
-        else:
-            out.extend(run)
-    return out
+    return fixed, rot, gen, (a >> t) & 1, cols, active
 
 
 def apply_dense(amps: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -586,72 +528,207 @@ def apply_dense(amps: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return amps @ mat.T
 
 
-def _forward_amps(blocks: list[_Block | _Segment], amps: np.ndarray) -> np.ndarray:
-    for block in blocks:
-        if isinstance(block, _Segment):
-            amps = apply_dense(amps, block.mat)
+# ---------------------------------------------------------------------------
+# Compiled programs. A circuit's structure is compiled once, with its blocks
+# and segments; a call binds it to a flat parameter vector and a batch of
+# inputs. Binding fills every angle at once: one ``_rotation_matrices`` call
+# per rotation kind and class of gates (width, shared or per-sample angle),
+# a per-sample gate built once however often it repeats (a re-uploaded
+# encoder gate). Blocks with the same width and the same shared or per-sample
+# pattern of members form their products together, one stacked matmul per
+# member position, each product in its own operand order.
+# ---------------------------------------------------------------------------
+
+
+class Program:
+    """A circuit compiled once. ``gates`` lists (kind, targets, tag) in
+    circuit order, the tag as in ``GateOp``: ("theta", i, scale) reads the
+    angle ``scale * params[i]`` of a flat parameter vector, ("x", i, scale)
+    the per-sample angle ``scale * X[:, i]``; fixed gates have none. The
+    dense segments last built are kept, and reused while the shared angles
+    are equal by value."""
+
+    def __init__(self, n_qubits: int, gates: tuple[tuple, ...]):
+        self.kinds = [kind for kind, _, _ in gates]
+        self.tags = [tag for _, _, tag in gates]
+        self.theta = np.array([g for g, t in enumerate(self.tags) if t and t[0] == "theta"], int)
+        self.idx = np.array([tag[1] if tag else 0 for tag in self.tags], dtype=int)
+        self.scale = np.array([tag[2] if tag else 0.0 for tag in self.tags])
+        self.gens = np.array([_GENERATORS.get(kind, 0 * _I) for kind in self.kinds])
+        self.blocks = _fuse([ts for _, ts, _ in gates])
+        # Each gate's class (width, per sample) and its row in the class's
+        # stack of matrices: a row per shared gate and per distinct per-sample
+        # gate; and the rows of each kind.
+        self.cls = [(len(ts), bool(tag) and tag[0] == "x") for _, ts, tag in gates]
+        self.classes: dict[tuple[int, bool], list[int]] = {}
+        self.row, seen = [], {}
+        for g, gate in enumerate(gates):
+            rows = self.classes.setdefault(self.cls[g], [])
+            self.row.append(seen.setdefault(gate if self.cls[g][1] else g, len(rows)))
+            if self.row[-1] == len(rows):
+                rows.append(g)
+        self.by_kind: dict[tuple[int, bool], dict[str, list[int]]] = {}
+        for cls, gs in self.classes.items():
+            for r, g in enumerate(gs):
+                self.by_kind.setdefault(cls, {}).setdefault(self.kinds[g], []).append(r)
+        # The pure path's layout: a block's index, or a dense segment's
+        # (length, number); segments of one length are built together.
+        self.layout, runs = [], {}
+        shared = lambda i: not any(self.cls[g][1] for g in self.blocks[i].members)
+        for dense, run in itertools.groupby(range(len(self.blocks)), key=shared):
+            if not dense or n_qubits > N_DENSE:
+                self.layout.extend(run)
+                continue
+            members = [g for i in run for g in self.blocks[i].members]
+            self.layout.append((len(members), len(runs.setdefault(len(members), []))))
+            runs[len(members)].append(members)
+        self.segments = {}
+        for K, same in runs.items():
+            emb = _embedding(n_qubits, [[gates[g][:2] for g in run] for run in same])
+            fixed, rot, gen, rows, cols, active = emb
+            s, k, _ = np.ogrid[: len(same), :K, :1]
+            gens = np.where(active[..., None], gen[s, k, rows], 0)
+            # Each U_k: its identity rows, and where its active rows' entries go
+            # (flat) and come from (member, target bit).
+            dim = 1 << n_qubits
+            at = np.broadcast_arrays(s[..., None], k[..., None], np.arange(dim)[:, None], cols)
+            base = np.zeros((len(same), K, dim, dim), dtype=complex)
+            base[tuple(at)] = np.where(active[..., None], 0, _I[rows])
+            flat = np.ravel_multi_index(at, base.shape)[active]
+            src = tuple(x[active] for x in np.broadcast_arrays(s, k, rows))
+            self.segments[K] = (np.array(same), fixed, rot, gen, cols, gens, base, flat, src)
+        self.groups = self._groups(range(len(self.blocks)))
+        self.pure_groups = self._groups(i for i in self.layout if isinstance(i, int))
+        self._bound: tuple[bytes, dict] | None = None
+
+    def _groups(self, blocks) -> dict[tuple, tuple[list[int], np.ndarray, np.ndarray]]:
+        """Blocks by (width, per-sample pattern of members): their indices,
+        and per block and member position the gate and its stack row."""
+        groups: dict[tuple, list[int]] = {}
+        for i in blocks:
+            b = self.blocks[i]
+            groups.setdefault((len(b.targets), *(self.cls[g][1] for g in b.members)), []).append(i)
+        rows = np.array(self.row)
+        return {k: (ids, g := np.array([self.blocks[i].members for i in ids]), rows[g])
+                for k, ids in groups.items()}
+
+    def _angles(self, params: np.ndarray) -> np.ndarray:
+        """Each gate's shared angle (0 for fixed and per-sample gates)."""
+        angles = np.zeros(len(self.kinds))
+        angles[self.theta] = self.scale[self.theta] * params[self.idx[self.theta]]
+        return angles
+
+    def gate_mats(self, params: np.ndarray, X: np.ndarray) -> dict:
+        """Each class's stack of 2x2 matrices (a CX/CRX's target block):
+        [N, 2, 2] shared, [N, B, 2, 2] per sample."""
+        angles, out = self._angles(params), {}
+        for cls, gates in self.classes.items():
+            th = self.scale[gates, None] * X.T[self.idx[gates]] if cls[1] else angles[gates]
+            out[cls] = mats = np.empty(th.shape + (2, 2), dtype=complex)
+            for kind, rows in self.by_kind[cls].items():
+                mats[rows] = (_rotation_matrices(kind, th[rows]) if kind in ROTATION_GATES
+                              else _FIXED_GATES[kind])
+        return out
+
+    def products(self, stacks: dict, groups: dict) -> dict[int, np.ndarray]:
+        """Each block's product M_L ... M_1 of its members' matrices (or
+        superoperators) from the class ``stacks``, per block of ``groups``."""
+        out = {}
+        for (width, *pattern), (ids, _, rows) in groups.items():
+            acc = None
+            for pos, per_sample in enumerate(pattern):
+                sk = stacks[width, per_sample][rows[:, pos]]
+                if any(pattern) and not per_sample:
+                    sk = sk[:, None]
+                acc = sk if acc is None else sk @ acc
+            out.update(zip(ids, acc))
+        return out
+
+    def conj_generators(self, stacks: dict) -> dict[_Block, list[np.ndarray]]:
+        """Per pure-path block, per member from the last: (W G W^dagger)^T,
+        with G the member's generator (0 for a fixed gate) and W the product
+        of the block's members after it; stacked per group like ``products``."""
+        out = {}
+        for (width, *pattern), (ids, gates, rows) in self.pure_groups.items():
+            cg, after = [], None  # [G, B or 1, 2, 2] each
+            for pos in reversed(range(len(pattern))):
+                gen = self.gens[gates[:, pos], None]
+                if after is not None:
+                    gen = after @ gen @ _dagger(after)
+                cg.append(np.swapaxes(gen, -1, -2))
+                if pos:
+                    mat = stacks[width, pattern[pos]][rows[:, pos]]
+                    mat = mat if pattern[pos] else mat[:, None]
+                    after = mat if after is None else after @ mat
+            out.update((self.blocks[i], [c[g] for c in cg]) for g, i in enumerate(ids))
+        return out
+
+    def _dense_segments(self, params: np.ndarray) -> dict:
+        angles = self._angles(params)
+        if self._bound is None or self._bound[0] != angles.tobytes():
+            built = {}
+            for K, (members, fixed, rot, gen, cols, gens, base, flat, src) in self.segments.items():
+                half = angles[members][..., None, None] / 2
+                mats = fixed + np.cos(half) * rot - 1j * np.sin(half) * gen
+                prefix = base.copy()
+                prefix.reshape(-1)[flat] = mats[src]
+                for i in range(1, K):
+                    prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
+                prefix.flags.writeable = False  # shared by every call until the angles change
+                for n, seg in enumerate(members):
+                    built[K, n] = _Segment(tuple(seg), cols[n], gens[n], prefix[n])
+            self._bound = (angles.tobytes(), built)
+        return self._bound[1]
+
+    def bind(self, params: np.ndarray, X: np.ndarray):
+        """The pure path's items for flat ``params`` and inputs ``X`` [B, F],
+        in circuit order: (block, fused matrix) or a dense segment; and the
+        class stacks they came from."""
+        stacks = self.gate_mats(params, X)
+        mats = self.products(stacks, self.pure_groups)
+        segments = self._dense_segments(params)
+        return [(self.blocks[i], mats[i]) if isinstance(i, int) else segments[i]
+                for i in self.layout], stacks
+
+    def forward_dm(self, params: np.ndarray, X: np.ndarray, dm: np.ndarray, noise) -> np.ndarray:
+        """The noisy pass: each block's superoperator is the product of its
+        members' local superoperators, each gate then the noise on its targets."""
+        stacks = {}
+        for (width, per_sample), mats in self.gate_mats(params, X).items():
+            u = mats if width == 1 else controlled_unitary(mats)
+            s = [local_superop(x, noise) for x in u] if per_sample else local_superop(u, noise)
+            stacks[width, per_sample] = np.stack(s) if per_sample else s
+        superops = self.products(stacks, self.groups)
+        return _apply_superops(dm, ((superops[i], b.targets) for i, b in enumerate(self.blocks)))
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(mat, -1, -2))
+
+
+def _forward_amps(items, amps: np.ndarray) -> np.ndarray:
+    for item in items:
+        if isinstance(item, _Segment):
+            amps = apply_dense(amps, item.prefix[-1])
         else:
-            amps = _apply_instr(amps, block, block.mat)
+            amps = _apply_instr(amps, *item)
     return amps
 
 
-def _block_superops(blocks: list[_Block], noise: tuple[KrausChannel, ...]) -> list[np.ndarray]:
-    """Each block's superoperator: the product of its members' local
-    superoperators, each gate followed by the noise on its targets, built
-    for the whole program at once. Shared-angle members are built together
-    (one ``_rotation_matrices`` call per rotation kind, one ``local_superop``
-    call per block width); a per-sample member once per distinct gate, so a
-    re-uploaded encoder gate is built once. Blocks with the same width and
-    the same shared or per-sample pattern of members form their products
-    together, one stacked matmul per member position."""
-    shared: dict[int, list[GateOp]] = {1: [], 2: []}  # by block width
-    per_sample: dict[GateOp, np.ndarray] = {}
-    refs = []  # per block, per member: its index in ``shared``, or the gate
-    groups: dict[tuple, list[int]] = {}  # member pattern -> blocks
-    for block in blocks:
-        width = len(block.targets)
-        refs.append([])
-        for op in block.members:
-            if getattr(op.angle, "ndim", 0) == 0:
-                refs[-1].append(len(shared[width]))
-                shared[width].append(op)
-            else:
-                refs[-1].append(op)
-                if op not in per_sample:
-                    per_sample[op] = local_superop(gate_unitary(op), noise)
-        key = (width,) + tuple(isinstance(m, GateOp) for m in refs[-1])
-        groups.setdefault(key, []).append(len(refs) - 1)
-    stacks = {}
-    for width, ops in shared.items():
-        if not ops:
-            continue
-        mats = np.array([_FIXED_GATES.get(op.kind, _I) for op in ops])
-        for kind in ROTATION_GATES & {op.kind for op in ops}:
-            at = [i for i, op in enumerate(ops) if op.kind == kind]
-            mats[at] = _rotation_matrices(kind, np.array([ops[i].angle for i in at], dtype=float))
-        stacks[width] = local_superop(mats if width == 1 else controlled_unitary(mats), noise)
-
-    out: list[np.ndarray] = [None] * len(blocks)
-    for (width, *pattern), group in groups.items():
-        acc = None
-        for pos, is_per_sample in enumerate(pattern):
-            if is_per_sample:
-                sk = np.stack([per_sample[refs[i][pos]] for i in group])  # [G, B, D, D]
-            else:
-                sk = stacks[width][[refs[i][pos] for i in group]]  # [G, D, D]
-                if any(pattern):
-                    sk = sk[:, None]
-            acc = sk if acc is None else sk @ acc
-        for g, i in enumerate(group):
-            out[i] = acc[g]
-    return out
-
-
-def _forward_dm(
-    blocks: list[_Block], dm: np.ndarray, noise: tuple[KrausChannel, ...]
-) -> np.ndarray:
-    superops = _block_superops(blocks, noise)
-    return _apply_superops(dm, zip(superops, (b.targets for b in blocks)))
+def compile_ops(n_qubits: int, ops) -> tuple[Program, np.ndarray, np.ndarray]:
+    """A program for a list of ``GateOp`` with the parameters and inputs
+    that it reads the angles from: each shared angle becomes a parameter,
+    each per-sample angle an input feature."""
+    gates, params, cols = [], [], []
+    for op in ops:
+        tag = None
+        if op.angle is not None:
+            shared = np.ndim(op.angle) == 0
+            tag = ("theta", len(params), 1.0) if shared else ("x", len(cols), 1.0)
+            (params if shared else cols).append(op.angle)
+        gates.append((op.kind, op.targets, tag))
+    X = np.stack(cols, axis=1) if cols else np.zeros((1, 0))
+    return Program(n_qubits, tuple(gates)), np.array(params, dtype=float), X
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +785,8 @@ def run_circuit_amps(circuit: CircuitSpec, amps: np.ndarray | None = None) -> np
     """Noiseless statevector pass; ``amps`` may be batched."""
     if amps is None:
         amps = _start_state(circuit).amplitudes.copy()
-    return _forward_amps(_densify(_fuse(circuit.ops), circuit.n_qubits), amps)
+    program, params, X = compile_ops(circuit.n_qubits, circuit.ops)
+    return _forward_amps(program.bind(params, X)[0], amps)
 
 
 def run_circuit_dm(circuit: CircuitSpec, dm: np.ndarray | None = None) -> np.ndarray:
@@ -716,7 +794,8 @@ def run_circuit_dm(circuit: CircuitSpec, dm: np.ndarray | None = None) -> np.nda
     batched."""
     if dm is None:
         dm = pure_to_dm(_start_state(circuit)).entries
-    return _forward_dm(_fuse(circuit.ops), dm, circuit.noise)
+    program, params, X = compile_ops(circuit.n_qubits, circuit.ops)
+    return program.forward_dm(params, X, dm, circuit.noise)
 
 
 def run_circuit(circuit: CircuitSpec, mode: str) -> StateVector | DensityMatrix:

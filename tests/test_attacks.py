@@ -249,7 +249,7 @@ class TestPgd:
         # second forward would add 5.
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(3))
         X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 8))
-        n_blocks = len(sim._fuse(models._program(m, X)[0]))
+        n_blocks = len(models._compiled(m.config, X.shape[1]).blocks)
         assert n_blocks == 96
         pgd(m, X, np.arange(5) % 4, 0.1, 0.05, 1, (-math.pi, math.pi))
         assert kernel_calls[0] == 2 * (4 + 1)

@@ -581,6 +581,7 @@ class TestCli:
             lambda raw: raw["train"].update(lr=float("inf")),
             lambda raw: raw["data"].update(per_class_test=0),
             lambda raw: raw["data"].update(kind="csv"),
+            lambda raw: raw["data"].update(n_classes=1),
         ],
         ids=[
             "channel_without_p",
@@ -599,6 +600,7 @@ class TestCli:
             "infinite_lr",
             "zero_per_class_test",
             "csv_without_path",
+            "one_class",
         ],
     )
     def test_malformed_config_gives_one_error_line(self, tmp_path, edit):

@@ -1,5 +1,6 @@
 """Model construction, forward passes, and all three gradient paths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -480,8 +481,8 @@ class TestGateFusion:
             sim.GateOp("RZ", (0,), 0.6),
             sim.GateOp("RZ", (1,), 0.7),
         ]
-        blocks = sim._fuse(prog)
-        assert [b.members for b in blocks] == [(ins,) for ins in prog]
+        blocks = sim._fuse([op.targets for op in prog])
+        assert [b.members for b in blocks] == [(i,) for i in range(len(prog))]
 
     def test_gates_on_other_qubits_keep_merging(self, rotation_oracle):
         prog = [
@@ -492,12 +493,14 @@ class TestGateFusion:
             sim.GateOp("RY", (2,), 0.7),
             sim.GateOp("RY", (0,), 0.8),
         ]
-        blocks = sim._fuse(prog)
+        program, params, X = sim.compile_ops(3, prog)
+        blocks = program.blocks
         assert [b.targets for b in blocks] == [(0,), (1,), (1, 2), (2,)]
-        assert blocks[0].members == (prog[0], prog[3], prog[5])
+        assert blocks[0].members == (0, 3, 5)
         want = rotation_oracle("RY", 0.8) @ rotation_oracle("RZ", 0.6) @ rotation_oracle("RY", 0.3)
-        assert np.max(np.abs(blocks[0].mat - want)) < 1e-15
-        assert blocks[1].members == (prog[1],) and blocks[3].members == (prog[4],)
+        mats = program.products(program.gate_mats(params, X), program.groups)
+        assert np.max(np.abs(mats[0] - want)) < 1e-15
+        assert blocks[1].members == (1,) and blocks[3].members == (4,)
 
     @pytest.mark.parametrize(
         "model, width, count",
@@ -509,8 +512,7 @@ class TestGateFusion:
         ids=["qmlp_9q_2l", "qnn", "qmlp_4q_10l"],
     )
     def test_block_counts(self, model, width, count):
-        instrs, _ = models._program(model, np.full((2, width), 0.5))
-        assert len(sim._fuse(instrs)) == count
+        assert len(models._compiled(model.config, width).blocks) == count
 
     def test_wide_gradient_makes_two_kernel_calls_per_block(self, kernel_calls):
         m = make_qmlp(layers=2, n=9, n_classes=4, seed=64)
@@ -518,6 +520,12 @@ class TestGateFusion:
         tdist = np.eye(4)[np.arange(3) % 4]
         training._batch_grads(m, X, tdist, np.full(3, 1 / 3))
         assert kernel_calls[0] == 72
+
+
+def pure_items(m, X):
+    """The pure path's bound items of ``m`` for inputs ``X``: (block, fused
+    matrix) pairs and dense segments."""
+    return models._compiled(m.config, X.shape[1]).bind(flatten_params(m.params), X)[0]
 
 
 def dense_case(kind, n):
@@ -551,25 +559,79 @@ class TestDenseSegments:
     @pytest.mark.parametrize("kind, n", DENSE_CASES, ids=[f"{k}_{n}q" for k, n in DENSE_CASES])
     def test_logits_and_gradients_match_per_instruction_reference(self, kind, n):
         m, X = dense_case(kind, n)
-        blocks = sim._densify(sim._fuse(models._program(m, X)[0]), n)
-        assert any(isinstance(b, sim._Segment) for b in blocks)
+        assert any(isinstance(b, sim._Segment) for b in pure_items(m, X))
         assert_matches_per_instruction_reference(m, X)
 
     def test_qnn_is_four_encoder_blocks_and_one_segment(self):
         m = init_pqc6(Pqc6Config(), np.random.default_rng(0))
-        blocks = sim._fuse(models._program(m, np.full((2, 8), 0.5))[0])
-        items = sim._densify(blocks, 4)
-        assert [type(b) for b in items] == [sim._Block] * 4 + [sim._Segment]
-        assert items[:4] == blocks[:4]
-        assert items[4].members == tuple(op for b in blocks[4:] for op in b.members)
+        blocks = models._compiled(m.config, 8).blocks
+        items = pure_items(m, np.full((2, 8), 0.5))
+        assert [isinstance(b, sim._Segment) for b in items] == [False] * 4 + [True]
+        assert [b for b, _ in items[:4]] == blocks[:4]
+        assert items[4].members == tuple(g for b in blocks[4:] for g in b.members)
         # Layer 0's 12 rotations fuse into the encoder blocks on their qubits.
         assert len(items[4].members) == 144 - 12
 
     def test_angle_qmlp_layer_is_encoder_blocks_then_its_crx_ring(self):
         m = make_qmlp(layers=3, n=4, n_classes=4)
-        items = sim._densify(sim._fuse(models._program(m, np.full((2, 4), 0.5))[0]), 4)
-        assert [type(b) for b in items] == ([sim._Block] * 4 + [sim._Segment]) * 3
+        items = pure_items(m, np.full((2, 4), 0.5))
+        assert [isinstance(b, sim._Segment) for b in items] == ([False] * 4 + [True]) * 3
         assert all(len(b.members) == 4 for b in items[4::5])
+
+
+class TestCompiledProgram:
+    """A quantum model's circuit is compiled once per (config, feature count)
+    and bound to its angles per call, with the last dense segments reused
+    while their angles are equal by value: no call may see the angles of
+    another."""
+
+    def warm(self, m, X):
+        models.forward_batch(m, X)
+        return models._compiled(m.config, X.shape[1])
+
+    @pytest.mark.parametrize("name", ["qnn", "angle_2q", "angle_9q"])
+    def test_parameters_changed_in_place(self, name):
+        m, X = fusion_case(name)
+        self.warm(m, X)
+        for a in models.tree_arrays(m.params).values():
+            a += np.linspace(0.1, 0.7, a.size).reshape(a.shape)
+        assert_matches_per_instruction_reference(m, X)
+
+    def test_equal_valued_copy_reuses_the_bound_segments(self):
+        m, X = fusion_case("qnn")
+        program = self.warm(m, X)
+        bound = program._bound
+        copy = replace_params(m, models.tree_map(np.copy, m.params))
+        models.forward_batch(copy, X)
+        assert program._bound is bound
+        assert_matches_per_instruction_reference(copy, X)
+
+    @pytest.mark.parametrize("name", ["qnn", "angle_2q_once", "amplitude_3q"])
+    def test_other_inputs_and_batch_sizes(self, name):
+        m, X = fusion_case(name)
+        self.warm(m, X)
+        X2 = np.random.default_rng(66).uniform(0.1, 1.2, size=(5, X.shape[1]))
+        assert_matches_per_instruction_reference(m, X2)
+        assert_matches_per_instruction_reference(m, X2[3:])
+
+    def test_reupload_flag_gets_its_own_program(self):
+        a = make_qmlp(layers=3, n=3, n_classes=3, seed=67, reupload=True)
+        b = models.QmlpModel(dataclasses.replace(a.config, reupload=False), a.params)
+        X = np.random.default_rng(68).uniform(0.1, 1.2, size=(3, 3))
+        assert models._compiled(a.config, 3) is not models._compiled(b.config, 3)
+        assert np.max(np.abs(models.forward_batch(a, X) - models.forward_batch(b, X))) > 1e-3
+        for m in (b, a, b):
+            assert_matches_per_instruction_reference(m, X)
+
+    def test_caches_are_bounded(self):
+        for layers in range(1, 40):
+            models._compiled(make_qmlp(layers=layers, n=2, n_classes=2).config, 2)
+        assert models._compiled.cache_info().currsize <= models._compiled.cache_info().maxsize == 16
+        m, X = fusion_case("qnn")
+        program = self.warm(m, X)
+        models.forward_batch(replace_params(m, models.tree_map(lambda a: a + 0.5, m.params)), X)
+        key, segments = program._bound
+        assert len(segments) == sum(not isinstance(i, int) for i in program.layout)
 
 
 class TestSpsa:

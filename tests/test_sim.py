@@ -364,7 +364,8 @@ class TestRandomCircuitInvariants:
         rng = np.random.default_rng(16 + n)
         for _ in range(20):
             circ = random_circuit(rng, n, 12)
-            assert [type(b) for b in sim._densify(sim._fuse(circ.ops), n)] == [sim._Segment]
+            program, params, X = sim.compile_ops(n, circ.ops)
+            assert [type(b) for b in program.bind(params, X)[0]] == [sim._Segment]
             init = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
             want = init.T
             for op in circ.ops:
@@ -373,8 +374,8 @@ class TestRandomCircuitInvariants:
 
     def test_wider_registers_keep_the_fused_blocks(self):
         n = sim.N_DENSE + 1
-        blocks = sim._fuse(random_circuit(np.random.default_rng(17), n, 12).ops)
-        assert sim._densify(blocks, n) is blocks
+        program, _, _ = sim.compile_ops(n, random_circuit(np.random.default_rng(17), n, 12).ops)
+        assert program.layout == list(range(len(program.blocks)))
 
     def test_initial_state_override(self):
         init = apply_gate(zero_state(2), GateOp("H", (0,)))
@@ -500,9 +501,9 @@ def per_block_dm(ops, dm, noise):
     """Reference noisy pass: each fused block's superoperator, formed one
     member at a time (S = S_k @ ... @ S_1), applied with apply_local_superop
     in canonical axis order."""
-    for block in sim._fuse(ops):
+    for block in sim._fuse([op.targets for op in ops]):
         s = None
-        for op in block.members:
+        for op in (ops[g] for g in block.members):
             sk = sim.local_superop(gate_unitary(op), noise)
             s = sk if s is None else sk @ s
         dm = sim.apply_local_superop(dm, s, block.targets)
@@ -521,12 +522,13 @@ def per_gate_dm(ops, dm, noise):
 
 
 class TestTrackedMixedForward:
-    """``_forward_dm`` builds every block's superoperator at once and keeps
+    """``Program.forward_dm`` builds every block's superoperator at once and keeps
     the density matrix in a tracked axis order; it must equal the per-block
     reference bit for bit."""
 
     def check(self, ops, dm, noise):
-        got = sim._forward_dm(sim._fuse(ops), dm, noise)
+        program, params, X = sim.compile_ops(dm.shape[-1].bit_length() - 1, ops)
+        got = program.forward_dm(params, X, dm, noise)
         assert np.array_equal(got, per_block_dm(ops, dm, noise))
         assert np.max(np.abs(got - per_gate_dm(ops, dm, noise))) < 1e-12
 

@@ -192,7 +192,7 @@ class TestTrainEpoch:
         m = init_pqc6(Pqc6Config(n_qubits=4), np.random.default_rng(1))
         X = np.random.default_rng(2).uniform(-math.pi, math.pi, size=(8, 8))
         tdist = one_hot(np.arange(8) % 4, 4)
-        n_blocks = len(sim._fuse(models._program(m, X)[0]))
+        n_blocks = len(models._compiled(m.config, X.shape[1]).blocks)
         assert n_blocks == 96
         training._batch_grads(m, X, tdist, np.full(8, 1 / 8))
         assert kernel_calls[0] == 2 * (4 + 1)
