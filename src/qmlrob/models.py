@@ -7,12 +7,9 @@ entanglers, and a one-hidden-layer classical MLP baseline.
 A model's circuit, with the encoder's gates and initial amplitudes from
 ``encoding``, is compiled once per (config, feature count) into a
 ``sim.Program`` that every pure and noisy pass binds to its parameters and
-batch. Quantum gradients come from an adjoint backward sweep (exact for
-expectation readouts) that starts from the state of the one forward pass it
-also reads the logits from. Per block it reduces the ket and bra to a small
-local cross matrix, reads every member gate's gradient from it, and undoes
-the block with one kernel call; a dense segment of shared gates is undone
-with one matmul and read from one weighted full-register cross matrix. A
+batch. Quantum gradients come from the program's adjoint sweep
+(``sim.Program.adjoint``, exact for expectation readouts), which starts
+from the state of the one forward pass that also gives the logits. A
 parameter-shift path with the four-term rule for controlled rotations runs
 gate by gate and is kept alongside as an independent cross-check.
 """
@@ -345,64 +342,8 @@ def predict_batch(
 
 
 # ---------------------------------------------------------------------------
-# Adjoint gradients. For the loss L(logits(z)) with z_q = <Z_q>, the backward
-# sweep differentiates <psi| O |psi> for O = sum_q w_q Z_q with w = dL/dz: the
-# gradient through a gate exp(-i theta G / 2) is Im(<lambda| G |psi>), with
-# psi the state just after the gate and lambda = (suffix unitary)^dagger O
-# |psi_final>. One forward pass gives the logits, the loss gradient and
-# psi_final; ket and lambda then travel back together as one [B, 2, dim]
-# array, a block at a time. At a block's end the sweep reduces them to the
-# local cross matrix M = Tr_rest |psi><lambda| ([B, 2, 2] on the block's
-# qubit; for a controlled rotation, on its target within the control-1
-# subspace, the only part its generator sees). A member's gradient is
-# Im Tr(G M_k), with M_k = W^dagger M W the cross matrix just after it and W
-# the product of the block's members after it; the sweep reads it as
-# Im Tr((W G W^dagger) M), with every W G W^dagger formed before the sweep,
-# a few stacked matmuls per group of like blocks (``conj_generators``). The
-# whole block is then undone on ket and lambda with one kernel call. A dense
-# segment is first undone with one matmul by conj(U), its total unitary. At
-# its start the sweep forms one weighted cross matrix M0 = sum_b w_b
-# |psi_b><lambda_b| [dim, dim], shared by the batch; the state just after
-# member k is P_k |psi>, with P_k the segment's prefix product through k, so
-# the member's weighted gradient is Im Tr(G_k P_k M0 P_k^dagger), read for
-# every member at once.
+# Adjoint gradients: one forward pass, then the compiled program's sweep.
 # ---------------------------------------------------------------------------
-
-
-def _cross_matrix(state: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """M[b, a, c] = sum over the other qubits of ket[b, a] conj(bra[b, c]) for
-    the stacked ket/bra ``state`` [B, 2, dim]; a and c are the bit of the
-    last target (with the control bit set, for two targets)."""
-    B, _, dim = state.shape
-    t = targets[-1]
-    # View as [B, ket|bra, target bit, other qubits...].
-    if len(targets) == 1:
-        v = state.reshape(B, 2, dim >> (t + 1), 2, 1 << t).transpose(0, 1, 3, 2, 4)
-    else:
-        c = targets[0]
-        hi, lo = max(c, t), min(c, t)
-        a = state.reshape(B, 2, dim >> (hi + 1), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
-        if c > t:
-            v = a[:, :, :, 1].transpose(0, 1, 4, 2, 3, 5)
-        else:
-            v = a[:, :, :, :, :, 1].transpose(0, 1, 3, 2, 4, 5)
-    # Contract the longest of the other axes (vecdot conjugates the bra), sum the rest.
-    rest = v.shape[3:]
-    m = np.vecdot(v[:, 1, None, :], v[:, 0, :, None], axis=3 + rest.index(max(rest)))
-    return m.sum(axis=tuple(range(3, m.ndim))) if m.ndim > 3 else m
-
-
-def _segment_grads(seg: sim._Segment, m0: np.ndarray) -> np.ndarray:
-    """Im Tr(G_k P_k M0 P_k^dagger) for every member k of a dense segment (0
-    for fixed gates), with M0 the weighted cross matrix at its start. G_k is
-    nonzero only at (a, cols[k, a, :]), so the trace sums G_k there times the
-    inner product of row ``a`` of P_k with rows ``cols`` of P_k M0; P_k M0
-    for every member is one gemm."""
-    p = seg.prefix
-    K, dim, _ = p.shape
-    pm = (p.reshape(K * dim, dim) @ m0).reshape(p.shape)
-    t = np.vecdot(p[:, :, None, :], pm[np.arange(K)[:, None, None], seg.cols])
-    return np.sum(seg.gens * t, axis=(1, 2)).imag
 
 
 def _quantum_backward(
@@ -415,7 +356,9 @@ def _quantum_backward(
     ``loss_grad`` maps the logits [B, C] to per-sample dL/dlogits [B, C].
     Returns (logits, param grads, dX [B, F] per-sample); the logits equal
     ``forward_batch``'s bit for bit. Per-sample gate grads are reduced into
-    the parameter grads with the sample weights."""
+    the parameter grads with the sample weights. The sweep differentiates
+    <psi| O |psi> for O = sum_q w_q Z_q with w = dL/dz; an amplitude
+    encoding adds the chain rule through the normalised input."""
     X = np.asarray(X, dtype=float)
     B = X.shape[0]
     w = np.ones(B) if sample_weights is None else np.asarray(sample_weights, dtype=float)
@@ -432,35 +375,12 @@ def _quantum_backward(
 
     obs_w = dlogits @ head_w  # [B, n] = dL/dz
     state = np.stack([psi, (obs_w @ zd) * psi], axis=1)  # [B, 2, dim]: ket, bra
-    dflat = np.zeros(params.size)
-    dX = np.zeros(X.shape)
-    conj_gens = program.conj_generators(stacks)
-    for item in reversed(items):
-        if isinstance(item, sim._Segment):
-            state = sim.apply_dense(state, sim._dagger(item.prefix[-1]))
-            m0 = (w[:, None] * state[:, 0]).T @ state[:, 1].conj()
-            g = list(item.members)  # shared gates: "theta" tags, or none (scale 0)
-            np.add.at(dflat, program.idx[g], program.scale[g] * _segment_grads(item, m0))
-            continue
-        block, mat = item
-        m = None
-        for g, gen_t in zip(reversed(block.members), conj_gens[block]):
-            if program.tags[g] is None:
-                continue
-            if m is None:
-                m = _cross_matrix(state, block.targets)
-                m_scaled = w[:, None, None] * m
-            what, idx, scale = program.tags[g]
-            if what == "theta":
-                dflat[idx] += scale * float((gen_t * m_scaled).sum().imag)
-            else:
-                dX[:, idx] += scale * w * (gen_t * m).sum(axis=(-2, -1)).imag
-        state = sim._apply_instr(state, block, sim._dagger(mat))
+    dflat, dX, bra = program.adjoint(items, stacks, state, w, params, X)
 
     if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
         # d<O>/dv through v/||v||, v = zero-padded x (grads are real-valued).
         norms = np.linalg.norm(X, axis=1)
-        gr = 2.0 * state[:, 1].real[:, : X.shape[1]]
+        gr = 2.0 * bra.real[:, : X.shape[1]]
         inner = np.sum(gr * X, axis=1) / norms
         dX = dX + w[:, None] * (gr / norms[:, None] - X * (inner / norms**2)[:, None])
 

@@ -581,8 +581,7 @@ class TestDenseSegments:
 
 class TestCompiledProgram:
     """A quantum model's circuit is compiled once per (config, feature count)
-    and bound to its angles per call, with the last dense segments reused
-    while their angles are equal by value: no call may see the angles of
+    and bound to its angles per call: no call may see the angles of
     another."""
 
     def warm(self, m, X):
@@ -597,13 +596,10 @@ class TestCompiledProgram:
             a += np.linspace(0.1, 0.7, a.size).reshape(a.shape)
         assert_matches_per_instruction_reference(m, X)
 
-    def test_equal_valued_copy_reuses_the_bound_segments(self):
+    def test_equal_valued_copy(self):
         m, X = fusion_case("qnn")
-        program = self.warm(m, X)
-        bound = program._bound
+        self.warm(m, X)
         copy = replace_params(m, models.tree_map(np.copy, m.params))
-        models.forward_batch(copy, X)
-        assert program._bound is bound
         assert_matches_per_instruction_reference(copy, X)
 
     @pytest.mark.parametrize("name", ["qnn", "angle_2q_once", "amplitude_3q"])
@@ -627,11 +623,11 @@ class TestCompiledProgram:
         for layers in range(1, 40):
             models._compiled(make_qmlp(layers=layers, n=2, n_classes=2).config, 2)
         assert models._compiled.cache_info().currsize <= models._compiled.cache_info().maxsize == 16
+        # Each bind writes its dense segments into the program's one prefix stack.
         m, X = fusion_case("qnn")
-        program = self.warm(m, X)
-        models.forward_batch(replace_params(m, models.tree_map(lambda a: a + 0.5, m.params)), X)
-        key, segments = program._bound
-        assert len(segments) == sum(not isinstance(i, int) for i in program.layout)
+        first = pure_items(m, X)[-1]
+        moved = replace_params(m, models.tree_map(lambda a: a + 0.5, m.params))
+        assert np.shares_memory(first.prefix, pure_items(moved, X)[-1].prefix)
 
 
 class TestSpsa:
