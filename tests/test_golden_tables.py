@@ -1,4 +1,4 @@
-"""Golden tables: the exact ``table.tsv`` text of three tiny real runs on
+"""Golden tables: the exact ``table.tsv`` text of four tiny real runs on
 quantum models, pinned so that a faster simulation path must reproduce
 every byte. Each case runs twice in one process; the second run meets warm
 caches (compiled circuits, bound segments, superoperators) and must give
@@ -34,6 +34,16 @@ CASES = {
             "attack": {"kind": "pgd", "eps": 0.1, "step": 0.05, "iters": 3},
         },
     ),
+    # Wider than sim.N_DENSE: the pure path there runs its own layout.
+    "wide_angle_qmlp_attack_pgd": (
+        "attack",
+        {
+            "data": {**DATA, "dim": 7},
+            "model": {**ANGLE_QMLP, "layers": 2, "n_qubits": 7},
+            "train": TRAIN,
+            "attack": {"kind": "pgd", "eps": 0.1, "step": 0.05, "iters": 3},
+        },
+    ),
     "angle_qmlp_baseline_depolarizing": (
         "baseline",
         {
@@ -61,6 +71,12 @@ GOLDEN = {
         "0\tqmlp\tattacked\tpure\t40.0000\t33.3333\t30.0000\t60.0000\t0.67\t60.0000\t155126b43836549c\n"
         "1\tqmlp\tbaseline\tpure\t60.0000\t56.8254\t20.0000\t40.0000\t1.00\t\t155126b43836549c\n"
         "1\tqmlp\tattacked\tpure\t60.0000\t56.8254\t20.0000\t40.0000\t1.00\t40.0000\t155126b43836549c\n"
+    ),
+    "wide_angle_qmlp_attack_pgd": (
+        "0\tqmlp\tbaseline\tpure\t40.0000\t39.4587\t30.0000\t60.0000\t1.00\t\t4ba7934a20572564\n"
+        "0\tqmlp\tattacked\tpure\t33.3333\t31.1905\t33.3333\t66.6667\t0.83\t66.6667\t4ba7934a20572564\n"
+        "1\tqmlp\tbaseline\tpure\t46.6667\t47.7920\t26.6667\t53.3333\t1.00\t\t4ba7934a20572564\n"
+        "1\tqmlp\tattacked\tpure\t53.3333\t53.3476\t23.3333\t46.6667\t1.14\t46.6667\t4ba7934a20572564\n"
     ),
     "angle_qmlp_baseline_depolarizing": (
         "0\tqmlp\tbaseline\tpure\t60.0000\t55.5556\t20.0000\t40.0000\t1.00\t\t86cd3a7346cfcb06\n"
