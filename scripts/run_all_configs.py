@@ -6,11 +6,13 @@ sections call for, and print where reports went.
 
 ``--seed`` runs only seed N of each config; ``--out`` writes each config's
 reports under ``DIR/<config stem>/``, so two checkouts' outputs compare with
-``diff -r -x summary.txt``.
+``diff -r -x summary.txt``. After each config's report paths comes the line
+``== <subcommand> <config file> <wall seconds> s``.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import yaml
@@ -46,12 +48,19 @@ def cli_args(sub: str, path: Path, seed: int | None = None, out: Path | None = N
     return args
 
 
+def run_config(sub: str, path: Path, seed: int | None = None, out: Path | None = None) -> int:
+    """Run one config, then print its ``==`` line; returns the CLI's exit code."""
+    t0 = time.perf_counter()
+    rc = cli.main(cli_args(sub, path, seed, out))
+    print(f"== {sub} {path.name} {time.perf_counter() - t0:.2f} s", flush=True)
+    return rc
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     rc = 0
     for sub, path in plan():
-        print(f"== {sub} {path.name}")
-        rc |= cli.main(cli_args(sub, path, args.seed, args.out))
+        rc |= run_config(sub, path, args.seed, args.out)
     return rc
 
 

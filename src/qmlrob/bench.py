@@ -329,6 +329,20 @@ def _prepare_data(config: ExperimentConfig, rng: np.random.Generator):
     return train, test, rng_range
 
 
+def _check_features(config: ExperimentConfig, n_features: int) -> None:
+    """Reject a model that cannot take the data's ``n_features``."""
+    spec = config.model
+    if spec.kind == "qnn" and n_features != 2 * spec.n_qubits:
+        raise ConfigError(
+            f"qnn needs {2 * spec.n_qubits} features, data provides {n_features}"
+        )
+    if spec.kind == "qmlp" and spec.encoding == "angle" and n_features > spec.n_qubits:
+        raise ConfigError(
+            f"angle encoding on {spec.n_qubits} qubits takes at most "
+            f"{spec.n_qubits} features, data provides {n_features}"
+        )
+
+
 def _build_model(config: ExperimentConfig, n_features: int, n_classes: int, rng):
     spec = config.model
     if spec.kind == "cmlp":
@@ -336,17 +350,8 @@ def _build_model(config: ExperimentConfig, n_features: int, n_classes: int, rng)
             models_mod.CmlpConfig(n_features, spec.hidden_dim, n_classes), rng
         )
     if spec.kind == "qnn":
-        if n_features != 2 * spec.n_qubits:
-            raise ConfigError(
-                f"qnn needs {2 * spec.n_qubits} features, data provides {n_features}"
-            )
         return models_mod.init_pqc6(
             models_mod.Pqc6Config(n_qubits=spec.n_qubits, n_classes=n_classes), rng
-        )
-    if spec.encoding == "angle" and n_features > spec.n_qubits:
-        raise ConfigError(
-            f"angle encoding on {spec.n_qubits} qubits takes at most "
-            f"{spec.n_qubits} features, data provides {n_features}"
         )
     return models_mod.init_qmlp(
         models_mod.QmlpConfig(
@@ -422,7 +427,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     out = Path(config.out_dir)
     for seed in config.seeds:
         seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         streams = np.random.SeedSequence(seed).spawn(5)
         data_rng = np.random.default_rng(streams[0])
         init_seq = streams[1]
@@ -430,7 +434,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         defense_seed = int(streams[3].generate_state(1)[0])
         train_seed = int(streams[4].generate_state(1)[0])
 
+        # Shape errors surface before the run writes anything for the seed.
         train_ds, test_ds, rng_range = _prepare_data(config, data_rng)
+        _check_features(config, train_ds.features.shape[1])
+        seed_dir.mkdir(parents=True, exist_ok=True)
         n_classes = config.data.n_classes
 
         baseline, _ = _train_seeded(

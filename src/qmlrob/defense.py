@@ -53,17 +53,20 @@ def anneal_mask(
     losses: np.ndarray, config: QDetectConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Single-spin-flip Metropolis from the all-ones mask, inverse temperature
-    ramped linearly across the sweeps; returns the best mask visited."""
+    ramped linearly across the sweeps; returns the best mask visited. The
+    loop runs on Python floats, whose arithmetic is numpy's float64
+    arithmetic bit for bit; ``np.exp`` stays, as ``math.exp`` may differ in
+    the last bit."""
     n = len(losses)
     budget = config.keep_fraction * n
     coeff = config.anneal_coeff
-    mask = np.ones(n)
     total = float(n)
-    energy = mask_energy(mask, losses, config)
+    energy = mask_energy(np.ones(n), losses, config)
+    losses, mask = np.asarray(losses, dtype=float).tolist(), [1.0] * n
     best_mask, best_energy = mask.copy(), energy
     betas = np.linspace(config.beta_range[0], config.beta_range[1], config.sweeps)
-    for beta in betas:
-        for i in rng.permutation(n):
+    for beta in betas.tolist():
+        for i in rng.permutation(n).tolist():
             if mask[i]:
                 delta = -losses[i] + coeff * (1.0 - 2.0 * (total - budget))
             else:
@@ -75,7 +78,7 @@ def anneal_mask(
                 if energy < best_energy:
                     best_energy = energy
                     best_mask = mask.copy()
-    return best_mask
+    return np.array(best_mask)
 
 
 def qdetect_weights(

@@ -375,9 +375,10 @@ def _quantum_backward(
 
     obs_w = dlogits @ head_w  # [B, n] = dL/dz
     state = np.stack([psi, (obs_w @ zd) * psi], axis=1)  # [B, 2, dim]: ket, bra
-    dflat, dX, bra = program.adjoint(items, stacks, state, w, params, X)
+    amplitude = isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude"
+    dflat, dX, bra = program.adjoint(items, stacks, state, w, params, X, bra=amplitude)
 
-    if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
+    if amplitude:
         # d<O>/dv through v/||v||, v = zero-padded x (grads are real-valued).
         norms = np.linalg.norm(X, axis=1)
         gr = 2.0 * bra.real[:, : X.shape[1]]

@@ -21,9 +21,14 @@ in the order they act.
 one gate list describes a whole batch. Every circuit pass runs a ``Program``:
 a circuit's structure compiled once, bound to its angles per call. It walks
 the fused blocks of ``_fuse``: one kernel call, or one superoperator, per
-block. On at most ``N_DENSE`` qubits the pure path runs each run of blocks
-whose angles the whole batch shares as one dense segment, one matmul; the
-adjoint sweep (``Program.adjoint``) walks the same items back. The noisy
+block. The pure path runs each maximal run of blocks that fits a window of
+at most ``N_DENSE`` consecutive qubits as one matmul on that window: a run
+whose angles the whole batch shares as a dense segment (on up to
+``N_DENSE`` qubits, the window is the whole register), and on wider
+registers a run of per-sample single-qubit blocks as the per-sample
+Kronecker product of their matrices. Only blocks wider than a window, and
+per-sample blocks on narrow registers, are kernel calls. The adjoint sweep
+(``Program.adjoint``) walks the same items back. The noisy
 path builds every block's superoperator in a few batched calls, then
 applies them to a density matrix kept as a ``[B] + [2] * 2n`` array in a
 tracked axis order (``_apply_superops``): each block moves only its targets'
@@ -35,7 +40,6 @@ Measurement is an exact expectation value; there is no shot sampling.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -477,31 +481,61 @@ def _fuse(targets) -> list[_Block]:
 
 
 # ---------------------------------------------------------------------------
-# Dense segments (pure path, registers of at most N_DENSE qubits). There a
-# kernel call is mostly dispatch overhead, so each maximal run of blocks whose
-# members all have shared angles becomes one segment: its members' full
-# 2^n x 2^n unitaries U_k, their prefix products P_k = U_k ... U_1, and the
-# total P_K, applied to the whole batch with one matmul. A 2x2 matrix ``m``
-# on target t (within the control-1 rows, for two targets) fills row ``a``
-# of the full matrix at the two columns that agree with ``a`` outside bit t,
-# with m[bit t of a, 0 | 1]; the other rows keep the identity. Those index
-# maps, and the pieces of each member's 2x2 matrix, are part of the compiled
-# program, so building every U_k of every segment of one length takes a few
-# numpy ops.
+# Windows (pure path). A kernel call on a small window of qubits is mostly
+# dispatch overhead, so each maximal run of blocks whose qubits fit a window
+# of k <= N_DENSE consecutive qubits is applied as one 2^k x 2^k matmul on
+# that window's bits of the basis index.
+#
+# A run of blocks whose members all have shared angles becomes a dense
+# segment: its members' 2^k x 2^k unitaries U_k on the window, their prefix
+# products P_k = U_k ... U_1, and the total P_K. A 2x2 matrix ``m`` on target
+# t (within the control-1 rows, for two targets) fills row ``a`` of the
+# window's matrix at the two columns that agree with ``a`` outside bit t, with
+# m[bit t of a, 0 | 1]; the other rows keep the identity. Those index maps,
+# and the pieces of each member's 2x2 matrix, are part of the compiled
+# program, so building every U_k of every segment of one shape takes a few
+# numpy ops. A run of per-sample single-qubit blocks becomes a ``_Kron``, the
+# per-sample Kronecker product of their fused matrices, built when applied.
 # ---------------------------------------------------------------------------
 
-# Widest register whose shared gate runs become dense segments. Measured with
-# one BLAS thread: a batch-32 gradient of a 6-layer QNN took 19-22 ms dense
-# against 25-30 ms with the kernels at 5 qubits, but 72 against 41 ms at 6.
+# Widest window. Measured with one BLAS thread: a batch-32 gradient of a
+# 6-layer QNN took 19-22 ms with its shared runs as dense segments on the
+# whole register against 25-30 ms with the kernels at 5 qubits, but 72
+# against 41 ms at 6. Up to N_DENSE qubits the window of a dense segment is
+# the whole register, and per-sample blocks stay kernel calls.
 N_DENSE = 5
 
 
 @dataclass(frozen=True)
 class _Segment:
     members: tuple[int, ...]  # gate indices, in circuit order
-    cols: np.ndarray  # [K, dim, 2]: the row index with bit t set to 0 | 1
-    gens: np.ndarray  # [K, dim, 2]: G_k at (row, cols); 0 for fixed gates
-    prefix: np.ndarray  # [K, dim, dim]: P_k = U_k ... U_1; the last is U
+    cols: np.ndarray  # [K, d, 2]: the row index with bit t set to 0 | 1
+    gens: np.ndarray  # [K, d, 2]: G_k at (row, cols); 0 for fixed gates
+    prefix: np.ndarray  # [K, d, d]: P_k = U_k ... U_1; the last is U
+    lo: int  # the window's lowest qubit
+
+    def matrix(self) -> np.ndarray:
+        return self.prefix[-1]
+
+
+@dataclass(frozen=True)
+class _Kron:
+    """Per-sample single-qubit blocks with their fused [B, 2, 2] matrices,
+    on distinct qubits (two such blocks on one qubit have a two-qubit block
+    between them), run on the window of qubits from ``lo`` to the highest."""
+
+    lo: int
+    pairs: tuple[tuple[_Block, np.ndarray], ...]
+
+    def matrix(self) -> np.ndarray:
+        """[B, d, d]: the blocks' matrices' Kronecker product, the highest
+        qubit first, with the identity on a qubit between them that has none."""
+        on = {block.targets[0]: m for block, m in self.pairs}
+        out = on[self.lo]
+        for q in range(self.lo + 1, max(on) + 1):
+            p = on.get(q, _I)[..., :, None, :, None] * out[..., None, :, None, :]
+            out = p.reshape(p.shape[:-4] + (2 * out.shape[-2], 2 * out.shape[-1]))
+        return out
 
 
 def _embedding(n_qubits: int, runs: list[list[tuple[str, tuple[int, ...]]]]):
@@ -524,9 +558,18 @@ def _embedding(n_qubits: int, runs: list[list[tuple[str, tuple[int, ...]]]]):
     return fixed, rot, gen, (a >> t) & 1, cols, active
 
 
-def apply_dense(amps: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply a full-register matrix to (batched) amplitudes."""
-    return amps @ mat.T
+def apply_dense(amps: np.ndarray, mat: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Apply a matrix on the window of k qubits from ``lo`` on (the whole
+    register by default) to amplitudes [B, ..., dim]: one [2^k, 2^k] matrix,
+    or a stack [B, 2^k, 2^k] with one per sample. The window's bits split the
+    basis index into (high, window, low)."""
+    d = mat.shape[-1]
+    if mat.ndim == 2 and d == amps.shape[-1]:
+        return amps @ mat.T
+    x = amps.reshape(amps.shape[0], -1, d, 1 << lo)
+    if lo == 0:
+        return (x[..., 0] @ np.swapaxes(mat, -1, -2)).reshape(amps.shape)
+    return ((mat if mat.ndim == 2 else mat[:, None]) @ x).reshape(amps.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -576,35 +619,55 @@ class Program:
         for cls, gs in self.classes.items():
             for r, g in enumerate(gs):
                 self.by_kind.setdefault(cls, {}).setdefault(self.kinds[g], []).append(r)
-        # The pure path's layout: a block's index, or a dense segment's
-        # (length, number); segments of one length are built together.
-        self.layout, runs = [], {}
-        shared = lambda i: not any(self.cls[g][1] for g in self.blocks[i].members)
-        for dense, run in itertools.groupby(range(len(self.blocks)), key=shared):
-            if not dense or n_qubits > N_DENSE:
-                self.layout.extend(run)
+        # The pure path's runs, each [kind, lowest qubit, highest, blocks]:
+        # "dense", "kron", or None for one block that is a kernel call (wider
+        # than a window, or per sample and on two qubits or a narrow register).
+        spans = []
+        for i, b in enumerate(self.blocks):
+            lo, hi = min(b.targets), max(b.targets)
+            per_sample = any(self.cls[g][1] for g in b.members)
+            kind = "kron" if per_sample else "dense"
+            if hi - lo >= N_DENSE or (per_sample and (len(b.targets) > 1 or n_qubits <= N_DENSE)):
+                kind = None
+            last = spans[-1] if spans else [None]
+            if kind and last[0] == kind and max(hi, last[2]) - min(lo, last[1]) < N_DENSE:
+                last[1:] = min(lo, last[1]), max(hi, last[2]), last[3] + [i]
+            else:
+                spans.append([kind, lo, hi, [i]])
+        # The layout: a block's index, ("kron", lo, blocks), or ("dense", K,
+        # w, number) for the number-th dense segment of K members on w
+        # qubits; segments of one shape are built together.
+        self.layout, runs, solo = [], {}, []
+        for kind, lo, hi, ids in spans:
+            if kind != "dense":
+                self.layout.append(("kron", lo, tuple(ids)) if kind else ids[0])
+                solo += ids
                 continue
-            members = [g for i in run for g in self.blocks[i].members]
-            self.layout.append((len(members), len(runs.setdefault(len(members), []))))
-            runs[len(members)].append(members)
+            lo, w = (0, n_qubits) if n_qubits <= N_DENSE else (lo, hi - lo + 1)
+            members = [g for i in ids for g in self.blocks[i].members]
+            key = (len(members), w)
+            self.layout.append(("dense", *key, len(runs.setdefault(key, []))))
+            runs[key].append((lo, members))
         self.segments = {}
-        for K, same in runs.items():
-            emb = _embedding(n_qubits, [[gates[g][:2] for g in run] for run in same])
+        for (K, w), same in runs.items():
+            los, same = zip(*same)
+            emb = _embedding(w, [[(gates[g][0], tuple(t - lo for t in gates[g][1])) for g in run]
+                                 for lo, run in zip(los, same)])
             fixed, rot, gen, rows, cols, active = emb
             s, k, _ = np.ogrid[: len(same), :K, :1]
             gens = np.where(active[..., None], gen[s, k, rows], 0)
             # Each U_k: where its active rows' entries go (flat) and come from
             # (member, target bit), and its other rows' diagonal entries (flat).
-            a = np.arange(1 << n_qubits)
+            a = np.arange(1 << w)
             shape = (len(same), K, a.size, a.size)
             at = np.broadcast_arrays(s[..., None], k[..., None], a[:, None], cols)
             flat = np.ravel_multi_index(at, shape)[active]
             ones = np.ravel_multi_index(np.broadcast_arrays(s, k, a, a), shape)[~active]
             src = tuple(x[active] for x in np.broadcast_arrays(s, k, rows))
             prefix = np.zeros(shape, dtype=complex)
-            self.segments[K] = (np.array(same), fixed, rot, gen, cols, gens, flat, ones, src, prefix)
+            self.segments[K, w] = (np.array(same), los, fixed, rot, gen, cols, gens, flat, ones, src, prefix)
         self.groups = self._groups(range(len(self.blocks)))
-        self.pure_groups = self._groups(i for i in self.layout if isinstance(i, int))
+        self.pure_groups = self._groups(solo)
 
     def _groups(self, blocks) -> dict[tuple, tuple[list[int], np.ndarray, np.ndarray]]:
         """Blocks by (width, per-sample pattern of members): their indices,
@@ -670,7 +733,7 @@ class Program:
 
     def _dense_segments(self, params: np.ndarray) -> dict:
         angles, built = self._angles(params), {}
-        for K, (members, fixed, rot, gen, cols, gens, flat, ones, src, prefix) in self.segments.items():
+        for (K, w), (members, los, fixed, rot, gen, cols, gens, flat, ones, src, prefix) in self.segments.items():
             half = angles[members][..., None, None] / 2
             mats = fixed + np.cos(half) * rot - 1j * np.sin(half) * gen
             prefix.fill(0)
@@ -679,26 +742,30 @@ class Program:
             for i in range(1, K):
                 prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
             for n, seg in enumerate(members):
-                built[K, n] = _Segment(tuple(seg), cols[n], gens[n], prefix[n])
+                built["dense", K, w, n] = _Segment(tuple(seg), cols[n], gens[n], prefix[n], los[n])
         return built
 
     def bind(self, params: np.ndarray, X: np.ndarray):
         """The pure path's items for flat ``params`` and inputs ``X`` [B, F],
-        in circuit order: (block, fused matrix) or a dense segment; and the
-        class stacks they came from."""
+        in circuit order: (block, fused matrix), a ``_Kron`` or a dense
+        segment; and the class stacks they came from."""
         stacks = self.gate_mats(params, X)
         mats = self.products(stacks, self.pure_groups)
         segments = self._dense_segments(params)
-        return [(self.blocks[i], mats[i]) if isinstance(i, int) else segments[i]
-                for i in self.layout], stacks
+        pair = lambda i: (self.blocks[i], mats[i])
+        return [pair(e) if isinstance(e, int) else _Kron(e[1], tuple(map(pair, e[2])))
+                if e[0] == "kron" else segments[e] for e in self.layout], stacks
 
-    def adjoint(self, items, stacks: dict, state: np.ndarray, w: np.ndarray, params, X):
+    def adjoint(self, items, stacks: dict, state: np.ndarray, w: np.ndarray, params, X,
+                bra: bool = False):
         """The adjoint sweep (Jones & Gacon, arXiv:2009.02823) back through
         the bound ``items`` and their class ``stacks``, from ``state`` [B, 2,
         dim]: the final ket psi and lambda = O psi for a diagonal observable
         O. Returns the angles' gradients of <psi| O |psi>, summed with the
         sample weights ``w``, as a flat vector like ``params``; the inputs'
-        gradients like ``X``, each times its weight; and lambda at the start.
+        gradients like ``X``, each times its weight; and, with ``bra``,
+        lambda at the start (else None, and the first item is not undone
+        unless its gradients need it).
 
         Through a gate exp(-i theta G / 2) the gradient is Im <lambda| G psi>
         with psi just after the gate. At a block's end the sweep reduces ket
@@ -706,33 +773,41 @@ class Program:
         2] (for a controlled rotation, within the control-1 subspace) and
         reads each member's gradient as Im Tr((W G W^dagger) M), with W the
         block's members after it (``conj_generators``), then undoes the block
-        with one kernel call. A dense segment is undone with one matmul; at
-        its start M0 = sum_b w_b |psi_b><lambda_b| [dim, dim], and member k's
-        gradient is Im Tr(G_k P_k M0 P_k^dagger), P_k its prefix product."""
+        with one kernel call. The blocks of a ``_Kron`` act on other qubits
+        than each other, so they drop out of each other's partial trace: each
+        block's M is read at the run's end, and the run is undone with one
+        matmul. A dense segment is undone with one matmul; at its start M0 =
+        sum_b w_b Tr_rest |psi_b><lambda_b| [d, d] on its window, and member
+        k's gradient is Im Tr(G_k P_k M0 P_k^dagger), P_k its prefix product."""
         dflat, dX = np.zeros(params.size), np.zeros(X.shape)
         conj_gens = self.conj_generators(stacks)
-        for item in reversed(items):
+        for i in reversed(range(len(items))):
+            item = items[i]
             if isinstance(item, _Segment):
-                state = apply_dense(state, _dagger(item.prefix[-1]))
-                m0 = (w[:, None] * state[:, 0]).T @ state[:, 1].conj()
+                state = apply_dense(state, _dagger(item.matrix()), item.lo)
+                d, low = item.prefix.shape[-1], 1 << item.lo
+                rows = lambda a: a.reshape(len(a), -1, d, low).swapaxes(-1, -2).reshape(-1, d)
+                m0 = rows(w[:, None] * state[:, 0]).T @ rows(state[:, 1]).conj()
                 g = list(item.members)  # shared gates: "theta" tags, or none (scale 0)
                 np.add.at(dflat, self.idx[g], self.scale[g] * _segment_grads(item, m0))
                 continue
-            block, mat = item
-            m = None
-            for g, gen_t in zip(reversed(block.members), conj_gens[block]):
-                if self.tags[g] is None:
-                    continue
-                if m is None:
-                    m = _cross_matrix(state, block.targets)
-                    m_scaled = w[:, None, None] * m
-                what, idx, scale = self.tags[g]
-                if what == "theta":
-                    dflat[idx] += scale * float((gen_t * m_scaled).sum().imag)
-                else:
-                    dX[:, idx] += scale * w * (gen_t * m).sum(axis=(-2, -1)).imag
-            state = _apply_instr(state, block, _dagger(mat))
-        return dflat, dX, state[:, 1]
+            for block, _ in reversed(item.pairs) if isinstance(item, _Kron) else (item,):
+                m = None
+                for g, gen_t in zip(reversed(block.members), conj_gens[block]):
+                    if self.tags[g] is None:
+                        continue
+                    if m is None:
+                        m = _cross_matrix(state, block.targets)
+                        m_scaled = w[:, None, None] * m
+                    what, idx, scale = self.tags[g]
+                    if what == "theta":
+                        dflat[idx] += scale * float((gen_t * m_scaled).sum().imag)
+                    else:
+                        dX[:, idx] += scale * w * (gen_t * m).sum(axis=(-2, -1)).imag
+            if i or bra:
+                state = (apply_dense(state, _dagger(item.matrix()), item.lo)
+                         if isinstance(item, _Kron) else _apply_instr(state, item[0], _dagger(item[1])))
+        return dflat, dX, state[:, 1] if bra else None
 
     def forward_dm(self, params: np.ndarray, X: np.ndarray, dm: np.ndarray, noise) -> np.ndarray:
         """The noisy pass: each block's superoperator is the product of its
@@ -752,8 +827,8 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 
 def _forward_amps(items, amps: np.ndarray) -> np.ndarray:
     for item in items:
-        if isinstance(item, _Segment):
-            amps = apply_dense(amps, item.prefix[-1])
+        if isinstance(item, (_Segment, _Kron)):
+            amps = apply_dense(amps, item.matrix(), item.lo)
         else:
             amps = _apply_instr(amps, *item)
     return amps
@@ -784,10 +859,10 @@ def _cross_matrix(state: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
 
 def _segment_grads(seg: _Segment, m0: np.ndarray) -> np.ndarray:
     """Im Tr(G_k P_k M0 P_k^dagger) for every member k of a dense segment (0
-    for fixed gates), with M0 the weighted cross matrix at its start. G_k is
-    nonzero only at (a, cols[k, a, :]), so the trace sums G_k there times the
-    inner product of row ``a`` of P_k with rows ``cols`` of P_k M0; P_k M0
-    for every member is one gemm."""
+    for fixed gates), with M0 the weighted cross matrix on its window at its
+    start. G_k is nonzero only at (a, cols[k, a, :]), so the trace sums G_k
+    there times the inner product of row ``a`` of P_k with rows ``cols`` of
+    P_k M0; P_k M0 for every member is one gemm."""
     p = seg.prefix
     K, dim, _ = p.shape
     pm = (p.reshape(K * dim, dim) @ m0).reshape(p.shape)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -582,6 +583,10 @@ class TestCli:
             lambda raw: raw["data"].update(per_class_test=0),
             lambda raw: raw["data"].update(kind="csv"),
             lambda raw: raw["data"].update(n_classes=1),
+            # Found from the data's shape, still before seed_0/ exists.
+            lambda raw: raw["data"].update(pca_dim=5),
+            lambda raw: raw.update(model={"kind": "qnn", "n_qubits": 3}),
+            lambda raw: raw.update(model={"kind": "qmlp", "encoding": "angle", "n_qubits": 3}),
         ],
         ids=[
             "channel_without_p",
@@ -601,6 +606,9 @@ class TestCli:
             "zero_per_class_test",
             "csv_without_path",
             "one_class",
+            "pca_dim_above_the_data",
+            "qnn_feature_mismatch",
+            "angle_width_too_small",
         ],
     )
     def test_malformed_config_gives_one_error_line(self, tmp_path, edit):
@@ -724,6 +732,14 @@ class TestRunAllConfigs:
         ]
         with pytest.raises(SystemExit):
             module.parse_args(["--seed", "one"])
+
+    def test_each_config_ends_with_its_wall_seconds(self, tmp_path, capsys):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump(base_raw(seeds=[0])))
+        assert load_run_all_configs().run_config("baseline", path, 0, tmp_path / "out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"== baseline tiny\.yaml \d+\.\d\d s", lines[-1])
+        assert (tmp_path / "out" / "tiny" / "table.tsv").exists()
 
 
 # config_hash is a column of every table.tsv: these values pin it for each

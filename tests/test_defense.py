@@ -30,7 +30,52 @@ def exhaustive_optimum(losses, config):
     return best_mask, best_e
 
 
+def numpy_scalar_anneal(losses, config, rng):
+    """``anneal_mask`` as it was written on numpy scalars and arrays: the
+    reference its Python-float loop must match bit for bit."""
+    n = len(losses)
+    budget = config.keep_fraction * n
+    coeff = config.anneal_coeff
+    mask = np.ones(n)
+    total = float(n)
+    energy = mask_energy(mask, losses, config)
+    best_mask, best_energy = mask.copy(), energy
+    betas = np.linspace(config.beta_range[0], config.beta_range[1], config.sweeps)
+    for beta in betas:
+        for i in rng.permutation(n):
+            if mask[i]:
+                delta = -losses[i] + coeff * (1.0 - 2.0 * (total - budget))
+            else:
+                delta = losses[i] + coeff * (1.0 + 2.0 * (total - budget))
+            if delta <= 0 or rng.random() < np.exp(-beta * delta):
+                mask[i] = 1.0 - mask[i]
+                total += 1.0 if mask[i] else -1.0
+                energy += delta
+                if energy < best_energy:
+                    best_energy = energy
+                    best_mask = mask.copy()
+    return best_mask
+
+
 class TestAnnealMask:
+    @pytest.mark.parametrize("keep_fraction", [0.7, 1.0])
+    def test_matches_the_numpy_scalar_loop_bit_for_bit(self, keep_fraction):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            n = int(rng.integers(1, 60))
+            losses = rng.uniform(0, 3, size=n)
+            if trial % 3 == 0:  # ties
+                losses = np.round(losses, 0)
+            cfg = QDetectConfig(keep_fraction=keep_fraction, anneal_coeff=float(rng.uniform(0, 2)),
+                                sweeps=int(rng.integers(1, 30)))
+            seed = int(rng.integers(1 << 30))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = anneal_mask(losses, cfg, got_rng)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, numpy_scalar_anneal(losses, cfg, want_rng))
+            # The same draws, in the same order.
+            assert got_rng.random() == want_rng.random()
+
     def test_equal_small_losses_keep_everything(self):
         cfg = QDetectConfig(keep_fraction=1.0, seed=0)
         losses = np.full(10, 0.5)  # below the budget coefficient: full mask optimal

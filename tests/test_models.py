@@ -421,14 +421,21 @@ FUSION_CASES = {
     "angle_9q": dict(layers=2, n=9, n_classes=4),
     "angle_9q_once": dict(layers=2, n=9, n_classes=4, reupload=False),
     "amplitude_3q": dict(layers=2, n=3, n_classes=3, kind="amplitude"),
+    # Wider than sim.N_DENSE: shared 1-qubit windows and a wrap-around CRX;
+    # per-sample and shared windows at offsets 0, 4 and 5.
+    "amplitude_6q": dict(layers=2, n=6, n_classes=3, kind="amplitude"),
+    "angle_7q": dict(layers=2, n=7, n_classes=4),
 }
+# QNNs by qubit count; on 6 qubits its all-pairs CRX layers split into windows.
+QNN_CASES = {"qnn": (3, 3), "qnn_6q": (6, 2)}
 
 
 def fusion_case(name):
     rng = np.random.default_rng(61)
-    if name == "qnn":
-        m = init_pqc6(Pqc6Config(n_qubits=3, layers=3, n_classes=3), np.random.default_rng(62))
-        return m, rng.uniform(-math.pi, math.pi, size=(3, 6))
+    if name in QNN_CASES:
+        n, layers = QNN_CASES[name]
+        m = init_pqc6(Pqc6Config(n_qubits=n, layers=layers, n_classes=3), np.random.default_rng(62))
+        return m, rng.uniform(-math.pi, math.pi, size=(3, 2 * n))
     m = make_qmlp(seed=63, **FUSION_CASES[name])
     width = m.config.n_qubits if m.config.encoding.kind == "angle" else 2**m.config.n_qubits - 2
     return m, rng.uniform(0.1, 1.2, size=(3, width))
@@ -462,7 +469,7 @@ class TestGateFusion:
     """Same-qubit gate runs fused into one block must leave logits and every
     gradient where the per-instruction passes put them."""
 
-    @pytest.mark.parametrize("name", [*FUSION_CASES, "qnn"])
+    @pytest.mark.parametrize("name", [*FUSION_CASES, *QNN_CASES])
     def test_logits_and_gradients_match_per_instruction_reference(self, name):
         assert_matches_per_instruction_reference(*fusion_case(name))
 
@@ -514,12 +521,23 @@ class TestGateFusion:
     def test_block_counts(self, model, width, count):
         assert len(models._compiled(model.config, width).blocks) == count
 
-    def test_wide_gradient_makes_two_kernel_calls_per_block(self, kernel_calls):
+    def test_wide_gradient_makes_one_call_per_window_or_wide_block(self, kernel_calls):
+        # Per layer: the encoder blocks (each fused with the layer's RY, RZ)
+        # as per-sample windows on qubits 0-4 and 5-8, the CRX ring as dense
+        # windows on qubits 0-4 and 4-8, and the wrap-around CRX (8, 0).
         m = make_qmlp(layers=2, n=9, n_classes=4, seed=64)
+        layer = [("kron", 0, (0, 1, 2, 3, 4)), ("kron", 5, (5, 6, 7, 8))]
+        assert models._compiled(m.config, 9).layout == [
+            *layer, ("dense", 4, 5, 0), ("dense", 4, 5, 1), 17,
+            *[("kron", lo, tuple(i + 18 for i in ids)) for _, lo, ids in layer],
+            ("dense", 4, 5, 2), ("dense", 4, 5, 3), 35,
+        ]
         X = np.random.default_rng(65).uniform(0.1, 1.2, size=(3, 9))
         tdist = np.eye(4)[np.arange(3) % 4]
         training._batch_grads(m, X, tdist, np.full(3, 1 / 3))
-        assert kernel_calls[0] == 72
+        # 10 items forward, 10 back less the first window, whose undo only an
+        # amplitude encoding's input gradient reads.
+        assert kernel_calls[0] == 19
 
 
 def pure_items(m, X):

@@ -372,10 +372,44 @@ class TestRandomCircuitInvariants:
                 want = dense_unitary(op, n) @ want
             assert np.max(np.abs(sim.run_circuit_amps(circ, init) - want.T)) < 1e-12
 
-    def test_wider_registers_keep_the_fused_blocks(self):
+    def test_wider_registers_run_blocks_in_windows(self):
+        # Blocks (0,), (2,) | (2, 5), (3, 2), (4,), (3, 5), (2, 3), (2,),
+        # (1, 2) | (2, 0): the second run would span 6 qubits with qubit 0.
         n = sim.N_DENSE + 1
-        program, _, _ = sim.compile_ops(n, random_circuit(np.random.default_rng(17), n, 12).ops)
-        assert program.layout == list(range(len(program.blocks)))
+        program, params, X = sim.compile_ops(n, random_circuit(np.random.default_rng(17), n, 12).ops)
+        assert program.layout == [("dense", 2, 3, 0), ("dense", 9, 5, 0), ("dense", 1, 3, 0)]
+        items = program.bind(params, X)[0]
+        assert [(item.lo, item.prefix.shape[-1]) for item in items] == [(0, 8), (1, 32), (0, 8)]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_windows_match_dense_products(self, n):
+        # Fixed gates, shared rotations, a CRX that wraps around the register
+        # (a kernel call) and per-sample rotations on some of the qubits (runs
+        # of them become per-sample windows), on a batch of random states.
+        rng = np.random.default_rng(30 + n)
+        B, offsets = 3, set()
+        for _ in range(8):
+            ops = list(random_circuit(rng, n, 16).ops)
+            ops.insert(int(rng.integers(len(ops) + 1)), GateOp("CRX", (n - 1, 0), 0.9))
+            for _ in range(2):
+                qubits = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
+                at = int(rng.integers(len(ops) + 1))
+                ops[at:at] = [GateOp(ROT_KINDS[rng.integers(3)], (int(q),),
+                                     rng.uniform(-np.pi, np.pi, size=B)) for q in qubits]
+            program, params, X = sim.compile_ops(n, ops)
+            items = program.bind(params, X)[0]
+            assert any(isinstance(item, sim._Kron) for item in items)
+            offsets |= {(item.lo, item.matrix().shape[-1]) for item in items if not isinstance(item, tuple)}
+            init = rng.normal(size=(B, 2**n)) + 1j * rng.normal(size=(B, 2**n))
+            want = init.copy()
+            for b in range(B):
+                for op in ops:
+                    angle = op.angle if np.ndim(op.angle) == 0 else op.angle[b]
+                    want[b] = dense_unitary(GateOp(op.kind, op.targets, angle), n) @ want[b]
+            got = sim.run_circuit_amps(CircuitSpec(n, tuple(ops)), init)
+            assert np.max(np.abs(got - want)) < 1e-12
+        # Some window lies strictly inside the register.
+        assert any(0 < lo and lo + d.bit_length() - 1 < n for lo, d in offsets)
 
     def test_initial_state_override(self):
         init = apply_gate(zero_state(2), GateOp("H", (0,)))
