@@ -1,4 +1,4 @@
-"""Golden tables: the exact ``table.tsv`` text of four tiny real runs on
+"""Golden tables: the exact ``table.tsv`` text of five tiny real runs on
 quantum models, pinned so that a faster simulation path must reproduce
 every byte. Each case runs twice in one process; the second run meets warm
 caches (compiled circuits, bound segments, superoperators) and must give
@@ -53,6 +53,18 @@ CASES = {
             "train": TRAIN,
         },
     ),
+    # Trained under noise: SPSA steps on the density-matrix path.
+    "angle_qmlp_baseline_spsa_mixed": (
+        "baseline",
+        {
+            "data": DATA,
+            "model": {**ANGLE_QMLP, "layers": 2},
+            "mode": {"kind": "mixed", "channels": [{"kind": "depolarizing", "p": 0.02},
+                                                   {"kind": "amplitude_damping", "p": 0.01}]},
+            "train_mode": "mixed",
+            "train": {"batch_size": 8, "epochs": 2, "spsa_step": 0.3, "spsa_perturb": 0.05},
+        },
+    ),
 }
 
 HEADER = "seed\tmodel\tcondition\teval_mode\taccuracy\tmacro_f1\tfpr\tfnr\trelative_accuracy\tasr\tconfig_hash\n"
@@ -83,6 +95,12 @@ GOLDEN = {
         "0\tqmlp\tbaseline\tmixed\t40.0000\t30.7190\t30.0000\t60.0000\t1.00\t\t86cd3a7346cfcb06\n"
         "1\tqmlp\tbaseline\tpure\t60.0000\t56.8254\t20.0000\t40.0000\t1.00\t\t86cd3a7346cfcb06\n"
         "1\tqmlp\tbaseline\tmixed\t60.0000\t59.4017\t20.0000\t40.0000\t1.00\t\t86cd3a7346cfcb06\n"
+    ),
+    "angle_qmlp_baseline_spsa_mixed": (
+        "0\tqmlp\tbaseline\tpure\t26.6667\t19.9074\t36.6667\t73.3333\t1.00\t\tc1983462e780c4ae\n"
+        "0\tqmlp\tbaseline\tmixed\t26.6667\t19.9074\t36.6667\t73.3333\t1.00\t\tc1983462e780c4ae\n"
+        "1\tqmlp\tbaseline\tpure\t53.3333\t42.7350\t23.3333\t46.6667\t1.00\t\tc1983462e780c4ae\n"
+        "1\tqmlp\tbaseline\tmixed\t40.0000\t27.9412\t30.0000\t60.0000\t1.00\t\tc1983462e780c4ae\n"
     ),
 }
 
