@@ -134,7 +134,8 @@ def quid_poison(
 def _input_grads(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     labels = np.asarray(y, dtype=int)
     _, _, dX = models.logits_and_grads(
-        model, X, lambda logits: softmax(logits) - one_hot(labels, logits.shape[1])
+        model, X, lambda logits: softmax(logits) - one_hot(labels, logits.shape[1]),
+        wrt="inputs",
     )
     return dX
 

@@ -712,23 +712,26 @@ class Program:
             out.update(zip(ids, acc))
         return out
 
-    def conj_generators(self, stacks: dict) -> dict[_Block, list[np.ndarray]]:
+    def conj_generators(self, stacks: dict, want: tuple[str, ...]) -> dict[_Block, list]:
         """Per pure-path block, per member from the last: (W G W^dagger)^T,
         with G the member's generator (0 for a fixed gate) and W the product
-        of the block's members after it; stacked per group like ``products``."""
+        of the block's members after it; stacked per group like ``products``;
+        None for a member whose side (per sample "x", else "theta") is not in
+        ``want``."""
         out = {}
         for (width, *pattern), (ids, gates, rows) in self.pure_groups.items():
+            need = [("x" if per_sample else "theta") in want for per_sample in pattern]
             cg, after = [], None  # [G, B or 1, 2, 2] each
             for pos in reversed(range(len(pattern))):
-                gen = self.gens[gates[:, pos], None]
-                if after is not None:
+                gen = self.gens[gates[:, pos], None] if need[pos] else None
+                if need[pos] and after is not None:
                     gen = after @ gen @ _dagger(after)
-                cg.append(np.swapaxes(gen, -1, -2))
-                if pos:
+                cg.append(gen if gen is None else np.swapaxes(gen, -1, -2))
+                if any(need[:pos]):
                     mat = stacks[width, pattern[pos]][rows[:, pos]]
                     mat = mat if pattern[pos] else mat[:, None]
                     after = mat if after is None else after @ mat
-            out.update((self.blocks[i], [c[g] for c in cg]) for g, i in enumerate(ids))
+            out.update((self.blocks[i], [c if c is None else c[g] for c in cg]) for g, i in enumerate(ids))
         return out
 
     def _dense_segments(self, params: np.ndarray) -> dict:
@@ -756,16 +759,20 @@ class Program:
         return [pair(e) if isinstance(e, int) else _Kron(e[1], tuple(map(pair, e[2])))
                 if e[0] == "kron" else segments[e] for e in self.layout], stacks
 
-    def adjoint(self, items, stacks: dict, state: np.ndarray, w: np.ndarray, params, X,
-                bra: bool = False):
+    def adjoint(self, items, kept: dict, stacks: dict, state: np.ndarray, w: np.ndarray,
+                params, X, bra: bool = False, wrt: str = "both"):
         """The adjoint sweep (Jones & Gacon, arXiv:2009.02823) back through
-        the bound ``items`` and their class ``stacks``, from ``state`` [B, 2,
-        dim]: the final ket psi and lambda = O psi for a diagonal observable
-        O. Returns the angles' gradients of <psi| O |psi>, summed with the
-        sample weights ``w``, as a flat vector like ``params``; the inputs'
-        gradients like ``X``, each times its weight; and, with ``bra``,
-        lambda at the start (else None, and the first item is not undone
-        unless its gradients need it).
+        the bound ``items``, the ``_Kron`` matrices ``kept`` by their forward
+        (``_forward_amps``; each dropped once undone) and their class
+        ``stacks``, from ``state`` [B, 2, dim]: the final ket psi and lambda
+        = O psi for a diagonal observable O. Returns the angles' gradients of
+        <psi| O |psi>, summed with the sample weights ``w``, as a flat vector
+        like ``params``; the inputs' gradients like ``X``, each times its
+        weight; and, with ``bra``, lambda at the start (else None, and the
+        first item is not undone unless its gradients need it). With ``wrt``
+        "params" or "inputs" the sweep skips the generators, cross matrices
+        and segment reductions that feed only the other side (left 0); the
+        side it computes keeps every bit.
 
         Through a gate exp(-i theta G / 2) the gradient is Im <lambda| G psi>
         with psi just after the gate. At a block's end the sweep reduces ket
@@ -779,12 +786,15 @@ class Program:
         matmul. A dense segment is undone with one matmul; at its start M0 =
         sum_b w_b Tr_rest |psi_b><lambda_b| [d, d] on its window, and member
         k's gradient is Im Tr(G_k P_k M0 P_k^dagger), P_k its prefix product."""
+        want = {"both": ("theta", "x"), "params": ("theta",), "inputs": ("x",)}[wrt]
         dflat, dX = np.zeros(params.size), np.zeros(X.shape)
-        conj_gens = self.conj_generators(stacks)
+        conj_gens = self.conj_generators(stacks, want)
         for i in reversed(range(len(items))):
             item = items[i]
             if isinstance(item, _Segment):
                 state = apply_dense(state, _dagger(item.matrix()), item.lo)
+                if "theta" not in want:
+                    continue
                 d, low = item.prefix.shape[-1], 1 << item.lo
                 rows = lambda a: a.reshape(len(a), -1, d, low).swapaxes(-1, -2).reshape(-1, d)
                 m0 = rows(w[:, None] * state[:, 0]).T @ rows(state[:, 1]).conj()
@@ -794,7 +804,7 @@ class Program:
             for block, _ in reversed(item.pairs) if isinstance(item, _Kron) else (item,):
                 m = None
                 for g, gen_t in zip(reversed(block.members), conj_gens[block]):
-                    if self.tags[g] is None:
+                    if gen_t is None or self.tags[g] is None:
                         continue
                     if m is None:
                         m = _cross_matrix(state, block.targets)
@@ -805,7 +815,7 @@ class Program:
                     else:
                         dX[:, idx] += scale * w * (gen_t * m).sum(axis=(-2, -1)).imag
             if i or bra:
-                state = (apply_dense(state, _dagger(item.matrix()), item.lo)
+                state = (apply_dense(state, _dagger(kept.pop(i) if i in kept else item.matrix()), item.lo)
                          if isinstance(item, _Kron) else _apply_instr(state, item[0], _dagger(item[1])))
         return dflat, dX, state[:, 1] if bra else None
 
@@ -825,10 +835,16 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mat, -1, -2))
 
 
-def _forward_amps(items, amps: np.ndarray) -> np.ndarray:
-    for item in items:
+def _forward_amps(items, amps: np.ndarray, kept: dict | None = None) -> np.ndarray:
+    """The pure pass. With ``kept``, each ``_Kron`` matrix but the first item's
+    (undone only for the amplitude chain rule, which has none) goes into it
+    by item index, for the adjoint sweep's undo."""
+    for i, item in enumerate(items):
         if isinstance(item, (_Segment, _Kron)):
-            amps = apply_dense(amps, item.matrix(), item.lo)
+            mat = item.matrix()
+            if kept is not None and i and isinstance(item, _Kron):
+                kept[i] = mat
+            amps = apply_dense(amps, mat, item.lo)
         else:
             amps = _apply_instr(amps, *item)
     return amps

@@ -171,7 +171,7 @@ class OptimizerState:
 def _batch_grads(model, X, tdist, norm_w):
     """Per-sample losses and weighted parameter grads from one forward pass."""
     logits, grads, _ = models.logits_and_grads(
-        model, X, lambda logits: softmax(logits) - tdist, norm_w
+        model, X, lambda logits: softmax(logits) - tdist, norm_w, wrt="params"
     )
     return cross_entropy_batch(logits, tdist), grads
 
@@ -192,7 +192,9 @@ def train_epoch(
     """One pass of weighted mini-batch training over a seeded shuffle.
 
     Per-sample losses are weighted and reduced by total batch weight mass;
-    zero-weight batches are skipped. Returns (model', stats dict).
+    zero-weight batches are skipped. An SPSA batch's losses are the mean of
+    its two perturbed evaluations (``models.spsa_grad``), not a third pass.
+    Returns (model', stats dict).
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -229,7 +231,7 @@ def train_epoch(
                 model.params, grads, opt_state.adam, config
             )
         else:
-            grads = models.spsa_grad(
+            grads, losses = models.spsa_grad(
                 model,
                 X,
                 tdist,
@@ -239,9 +241,6 @@ def train_epoch(
                 mode,
                 noise,
                 sample_weights=w,
-            )
-            losses = cross_entropy_batch(
-                models.forward_batch(model, X, mode, noise), tdist
             )
             new_params = tree_map(
                 lambda p, g: p - config.spsa_step * g, model.params, grads

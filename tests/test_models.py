@@ -648,6 +648,62 @@ class TestCompiledProgram:
         assert np.shares_memory(first.prefix, pure_items(moved, X)[-1].prefix)
 
 
+GRAD_CHOICE_CASES = [(kind, n) for n in (4, 7, 9) for kind in ("qnn", "angle", "angle_once", "amplitude")]
+
+
+class TestGradientChoice:
+    """A sweep asked for one side's gradients skips the work that feeds only
+    the other, and the side it returns keeps every bit of the full sweep's."""
+
+    def grads(self, m, X, wrt):
+        y = np.arange(len(X)) % m.config.n_classes
+        return models.logits_and_grads(
+            m, X, lambda lg: softmax(lg) - np.eye(m.config.n_classes)[y],
+            np.linspace(0.5, 1.5, len(X)), wrt=wrt,
+        )
+
+    @pytest.mark.parametrize("kind, n", GRAD_CHOICE_CASES,
+                             ids=[f"{k}_{n}q" for k, n in GRAD_CHOICE_CASES])
+    def test_one_side_equals_the_full_sweep_bit_for_bit(self, kind, n):
+        m, X = dense_case(kind, n)
+        logits, grads, dX = self.grads(m, X, "both")
+        p_logits, p_grads, p_dX = self.grads(m, X, "params")
+        i_logits, i_grads, i_dX = self.grads(m, X, "inputs")
+        assert np.array_equal(p_logits, logits) and np.array_equal(i_logits, logits)
+        assert np.array_equal(flatten_params(p_grads), flatten_params(grads))
+        assert np.array_equal(i_dX, dX)
+        assert p_dX is None and i_grads is None
+
+    def test_inputs_only_reads_no_dense_segment(self, monkeypatch):
+        m, X = dense_case("qnn", 4)
+        calls = []
+        real = sim._segment_grads
+        monkeypatch.setattr(sim, "_segment_grads", lambda *a: calls.append(1) or real(*a))
+        self.grads(m, X, "inputs")
+        assert calls == []
+        self.grads(m, X, "both")
+        assert calls == [1]
+
+    def test_cmlp_and_unknown_choice(self):
+        m = init_cmlp(CmlpConfig(3, 4, 2), np.random.default_rng(0))
+        X = np.random.default_rng(1).uniform(size=(4, 3))
+        loss_grad = lambda lg: softmax(lg) - np.eye(2)[[0, 1, 0, 1]]
+        _, grads, dX = models.logits_and_grads(m, X, loss_grad)
+        _, p_grads, p_dX = models.logits_and_grads(m, X, loss_grad, wrt="params")
+        assert np.array_equal(flatten_params(p_grads), flatten_params(grads)) and p_dX is None
+        with pytest.raises(ValueError, match="gradient choice"):
+            models.logits_and_grads(m, X, loss_grad, wrt="theta")
+
+    def test_window_matrices_are_built_once_per_gradient(self, monkeypatch):
+        m = make_qmlp(layers=2, n=7, n_classes=3, seed=5)
+        X = np.random.default_rng(6).uniform(0.1, 1.2, size=(3, 7))
+        krons = sum(isinstance(item, sim._Kron) for item in pure_items(m, X))
+        calls = []
+        real = sim._Kron.matrix
+        monkeypatch.setattr(sim._Kron, "matrix", lambda self: calls.append(1) or real(self))
+        self.grads(m, X, "both")
+        assert krons == 4 and len(calls) == krons
+
 class TestSpsa:
     def test_symmetric_point_estimates_zero(self):
         rng = np.random.default_rng(0)
@@ -686,8 +742,8 @@ class TestSpsa:
         m = make_qmlp(layers=1, n=2, n_classes=2, seed=3)
         X = np.array([[0.2, 0.4], [0.6, 0.1]])
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
-        g1 = spsa_grad(m, X, targets, 0.02, np.random.default_rng(5), cross_entropy_batch)
-        g2 = spsa_grad(m, X, targets, 0.02, np.random.default_rng(5), cross_entropy_batch)
+        g1, _ = spsa_grad(m, X, targets, 0.02, np.random.default_rng(5), cross_entropy_batch)
+        g2, _ = spsa_grad(m, X, targets, 0.02, np.random.default_rng(5), cross_entropy_batch)
         assert g1.theta.shape == m.params.theta.shape
         assert np.array_equal(flatten_params(g1), flatten_params(g2))
 
@@ -695,7 +751,7 @@ class TestSpsa:
         m = make_qmlp(layers=1, n=2, n_classes=2, seed=3)
         X = np.array([[0.2, 0.4]])
         targets = np.array([[1.0, 0.0]])
-        g = spsa_grad(
+        g, _ = spsa_grad(
             m, X, targets, 0.02, np.random.default_rng(5), cross_entropy_batch,
             mode="mixed", noise=(make_depolarizing(0.05),),
         )

@@ -224,6 +224,38 @@ class TestTrainEpoch:
             float(loss), float(acc)
 
 
+class TestSpsaTraining:
+    """An SPSA step runs only its two perturbed evaluations, and the batch
+    loss it logs is their mean."""
+
+    def test_two_forwards_per_batch_and_the_pair_mean_is_logged(self, monkeypatch):
+        enc = EncodingSpec("angle", 3, (0.0, math.pi))
+        m = init_qmlp(QmlpConfig(2, enc, 3, n_qubits=3), np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        ds = Dataset(rng.uniform(0, math.pi, (20, 3)), np.arange(20) % 3)
+        logits = []
+        real = models.forward_batch
+
+        def counting(*args, **kwargs):
+            logits.append(real(*args, **kwargs))
+            return logits[-1]
+
+        monkeypatch.setattr(models, "forward_batch", counting)
+        weights = np.linspace(0.2, 1.8, len(ds))
+        cfg = TrainConfig(batch_size=8, spsa_step=0.3, seed=4)
+        _, stats = train_epoch(m, ds, weights, cfg, "mixed", (make_depolarizing(0.02),),
+                               n_classes=3)
+        assert len(logits) == 2 * 3  # 20 samples in batches of 8
+        order = np.random.default_rng(cfg.seed).permutation(len(ds))
+        total = total_w = 0.0
+        for b in range(3):
+            idx = order[b * 8 : (b + 1) * 8]
+            tdist = training.target_distributions(ds.labels[idx], 3, 0.0)
+            plus, minus = (training.cross_entropy_batch(lg, tdist) for lg in logits[2 * b : 2 * b + 2])
+            total += float(np.dot(weights[idx], (plus + minus) / 2))
+            total_w += float(weights[idx].sum())
+        assert stats["train_loss"] == total / total_w
+
 def prediction_rig(preds, n_classes):
     """CMLP whose argmax on one-hot features equals the wanted prediction."""
     cfg = CmlpConfig(n_classes, n_classes, n_classes)
@@ -298,9 +330,9 @@ class TestNonFiniteLoss:
             real = models.spsa_grad
 
             def inf_grads(*args, **kwargs):
-                grads = real(*args, **kwargs)
+                grads, losses = real(*args, **kwargs)
                 grads.head_b[0] = np.inf
-                return grads
+                return grads, losses
 
             monkeypatch.setattr(models, "spsa_grad", inf_grads)
         config = TrainConfig(batch_size=2, epochs=2, optimizer=optimizer)
