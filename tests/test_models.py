@@ -856,3 +856,27 @@ class TestCheckpoints:
         np_.savez(path, **data)
         with pytest.raises(ValueError):
             load_model(path)
+
+    # The config JSON that save_model writes, pinned byte for byte: a QMLP with
+    # reupload off and a non-default input range, the default QNN and a CMLP.
+    CONFIG_GOLDENS = {
+        "qmlp": '{"encoding": {"input_range": [-1.0, 2.5], "kind": "angle", "n_qubits": 3}, '
+                '"kind": "qmlp", "layers": 2, "n_classes": 3, "n_qubits": 3, "reupload": false}',
+        "qnn": '{"kind": "qnn", "layers": 6, "n_classes": 4, "n_qubits": 4}',
+        "cmlp": '{"hidden_dim": 8, "input_dim": 4, "kind": "cmlp", "n_classes": 3}',
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONFIG_GOLDENS))
+    def test_config_json_is_pinned(self, tmp_path, kind):
+        rng = np.random.default_rng(0)
+        if kind == "qmlp":
+            enc = EncodingSpec("angle", 3, (-1.0, 2.5))
+            m = init_qmlp(QmlpConfig(2, enc, 3, 3, reupload=False), rng)
+        elif kind == "qnn":
+            m = init_pqc6(Pqc6Config(), rng)
+        else:
+            m = init_cmlp(CmlpConfig(4, 8, 3), rng)
+        save_model(tmp_path / "model.npz", m, seed=7)
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as data:
+            assert str(data["config"]) == self.CONFIG_GOLDENS[kind]
+        assert load_model(tmp_path / "model.npz")[0].config == m.config
