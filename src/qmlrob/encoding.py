@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import CircuitSpec, GateOp, StateVector, run_circuit_amps
+from .sim import GateOp, Program, StateVector, _forward_amps
 
 ENCODING_KINDS = frozenset({"angle", "amplitude", "dense_angle"})
 
@@ -110,11 +110,11 @@ def feature_bounds(features: np.ndarray) -> np.ndarray:
 
 def encode_states(X: np.ndarray, spec: EncodingSpec) -> np.ndarray:
     """Outputs [B, 2**n] of the encoder-only circuit for a batch X [B, F]
-    (ESS substrate)."""
+    (ESS substrate): its compiled program bound to ``X``."""
     X = np.asarray(X, dtype=float)
-    ops = encoder_gates(X, spec.kind, spec.n_qubits)
+    program = Program(spec.n_qubits, tuple(encoder_structure(spec.kind, spec.n_qubits, X.shape[1])))
     init = initial_amplitudes(X, spec.kind, spec.n_qubits)
-    return run_circuit_amps(CircuitSpec(spec.n_qubits, tuple(ops)), init)
+    return _forward_amps(program.bind(np.zeros(0), X)[0], init)
 
 
 def encode_state(x: np.ndarray, spec: EncodingSpec) -> StateVector:

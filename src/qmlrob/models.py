@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,6 @@ class Pqc6Config:
     n_qubits: int = 4
     layers: int = 6
     n_classes: int = 4
-
-    @property
-    def n_features(self) -> int:
-        return 2 * self.n_qubits
 
 
 @dataclass
@@ -293,20 +290,26 @@ def quantum_features(
 ) -> np.ndarray:
     """Per-qubit Pauli-Z expectations [B, n_qubits] for a batch."""
     X = np.asarray(X, dtype=float)
-    init = _initial(model, X)
-    program, params = _compiled(model.config, X.shape[1]), flatten_params(model.params)
-    zd = _z_diags(model.config.n_qubits)
     if mode == "pure":
         if noise:
             raise ValueError("pure mode requires an empty noise policy")
-        amps = sim._forward_amps(program.bind(params, X)[0], init)
-        return (np.abs(amps) ** 2) @ zd.T
+        return _pure_pass(model, X)[0]
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
+    init = _initial(model, X)
     dm = np.einsum("bi,bj->bij", init, init.conj())
-    dm = program.forward_dm(params, X, dm, noise)
-    diag = np.einsum("bii->bi", dm).real
-    return diag @ zd.T
+    dm = _compiled(model.config, X.shape[1]).forward_dm(flatten_params(model.params), X, dm, noise)
+    return np.einsum("bii->bi", dm).real @ _z_diags(model.config.n_qubits).T
+
+
+def _pure_pass(model: QuantumModel, X: np.ndarray, kept: dict | None = None):
+    """Bind the model's program to its parameters and ``X``, run the pure
+    pass (``kept`` as in ``sim._forward_amps``) and read each qubit's <Z_q>.
+    Returns (z [B, n], psi [B, 2**n], (program, params, items, stacks))."""
+    program, params = _compiled(model.config, X.shape[1]), flatten_params(model.params)
+    items, stacks = program.bind(params, X)
+    psi = sim._forward_amps(items, _initial(model, X), kept)
+    return (np.abs(psi) ** 2) @ _z_diags(model.config.n_qubits).T, psi, (program, params, items, stacks)
 
 
 def forward_batch(
@@ -362,21 +365,15 @@ def _quantum_backward(
     encoding adds the chain rule through the normalised input. ``wrt`` is as
     in ``logits_and_grads``; the side not asked for is left zero."""
     X = np.asarray(X, dtype=float)
-    B = X.shape[0]
-    w = np.ones(B) if sample_weights is None else np.asarray(sample_weights, dtype=float)
-    n = model.config.n_qubits
+    w = np.ones(len(X)) if sample_weights is None else np.asarray(sample_weights, dtype=float)
     head_w = model.params.head_w
-
-    program, params = _compiled(model.config, X.shape[1]), flatten_params(model.params)
-    items, stacks = program.bind(params, X)
-    psi = sim._forward_amps(items, _initial(model, X), kept := {})
-    zd = _z_diags(n)
-    z = (np.abs(psi) ** 2) @ zd.T
+    z, psi, (program, params, items, stacks) = _pure_pass(model, X, kept := {})
     logits = z @ head_w.T + model.params.head_b
     dlogits = loss_grad(logits)
 
     obs_w = dlogits @ head_w  # [B, n] = dL/dz
-    state = np.stack([psi, (obs_w @ zd) * psi], axis=1)  # [B, 2, dim]: ket, bra
+    # [B, 2, dim]: the ket psi and the bra O psi.
+    state = np.stack([psi, (obs_w @ _z_diags(model.config.n_qubits)) * psi], axis=1)
     del psi  # the sweep holds the kept window matrices; this keeps its peak memory down
     amplitude = (isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude"
                  and wrt != "params")
@@ -419,12 +416,12 @@ def logits_and_grads(
     return logits, None if wrt == "inputs" else grads, None if wrt == "params" else dX
 
 
-def _single_grads(model: Model, x: np.ndarray, y, loss_fn):
+def _single_grads(model: Model, x: np.ndarray, y, loss_fn, wrt: str):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _, grads, dX = logits_and_grads(
-        model, x, lambda logits: loss_fn(logits[0], y)[1][None, :]
+        model, x, lambda logits: loss_fn(logits[0], y)[1][None, :], wrt=wrt
     )
-    return grads, dX[0]
+    return grads if wrt == "params" else dX[0]
 
 
 def grad_params(model: Model, x: np.ndarray, y, loss_fn):
@@ -433,12 +430,12 @@ def grad_params(model: Model, x: np.ndarray, y, loss_fn):
     ``loss_fn`` returns (loss, dloss/dlogits). Pure (noiseless) mode only;
     use spsa_grad under noise.
     """
-    return _single_grads(model, x, y, loss_fn)[0]
+    return _single_grads(model, x, y, loss_fn, "params")
 
 
 def grad_input(model: Model, x: np.ndarray, y, loss_fn) -> np.ndarray:
     """Gradient of the loss w.r.t. the input features (pure mode only)."""
-    return _single_grads(model, x, y, loss_fn)[1]
+    return _single_grads(model, x, y, loss_fn, "inputs")
 
 
 # ---------------------------------------------------------------------------
@@ -613,43 +610,36 @@ def cmlp_grad(config: CmlpConfig, params: CmlpParams, x: np.ndarray, y, loss_fn)
 # ---------------------------------------------------------------------------
 
 
-def _config_payload(model: Model) -> dict:
-    cfg = model.config
-    if isinstance(model, QmlpModel):
-        enc = cfg.encoding
-        return {
-            "kind": "qmlp",
-            "layers": cfg.layers,
-            "n_classes": cfg.n_classes,
-            "n_qubits": cfg.n_qubits,
-            "reupload": cfg.reupload,
-            "encoding": {
-                "kind": enc.kind,
-                "n_qubits": enc.n_qubits,
-                "input_range": list(enc.input_range),
-            },
-        }
-    if isinstance(model, Pqc6Model):
-        return {
-            "kind": "qnn",
-            "n_qubits": cfg.n_qubits,
-            "layers": cfg.layers,
-            "n_classes": cfg.n_classes,
-        }
-    return {
-        "kind": "cmlp",
-        "input_dim": cfg.input_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "n_classes": cfg.n_classes,
-    }
+# Each model kind's name in a checkpoint: its model, config and init types.
+_KINDS = {
+    "qmlp": (QmlpModel, QmlpConfig, init_qmlp),
+    "qnn": (Pqc6Model, Pqc6Config, init_pqc6),
+    "cmlp": (CmlpModel, CmlpConfig, init_cmlp),
+}
+
+
+def _config_from(cls, fields):
+    """The config dataclass ``cls`` from its checkpoint fields: a nested
+    config from its mapping, a list as a tuple. A config that is no mapping,
+    has an unknown field, lacks a required one or holds a value of the wrong
+    type raises a ValueError that names it."""
+    if not isinstance(fields, dict):
+        raise ValueError(f"checkpoint {cls.__name__} must be a mapping, got {type(fields).__name__}")
+    hints = typing.get_type_hints(cls)
+    try:
+        return cls(**{k: _config_from(hints[k], v) if dataclasses.is_dataclass(hints.get(k))
+                      else tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+    except TypeError as exc:
+        raise ValueError(f"malformed checkpoint config: {exc}") from None
 
 
 def save_model(path, model: Model, seed: int) -> None:
+    kind = next(k for k, (cls, _, _) in _KINDS.items() if isinstance(model, cls))
     arrays = {f"param_{k}": v for k, v in tree_arrays(model.params).items()}
     np.savez(
         path,
         version=CHECKPOINT_VERSION,
-        config=json.dumps(_config_payload(model), sort_keys=True),
+        config=json.dumps({"kind": kind, **dataclasses.asdict(model.config)}, sort_keys=True),
         seed=seed,
         **arrays,
     )
@@ -665,22 +655,10 @@ def load_model(path) -> tuple[Model, int]:
             k[len("param_") :]: data[k] for k in data.files if k.startswith("param_")
         }
         seed = int(data["seed"])
-    kind = cfg.pop("kind")
-    if kind == "qmlp":
-        enc = cfg.pop("encoding")
-        config = QmlpConfig(
-            encoding=EncodingSpec(
-                enc["kind"], enc["n_qubits"], tuple(enc["input_range"])
-            ),
-            **cfg,
-        )
-        init = init_qmlp
-    elif kind == "qnn":
-        config, init = Pqc6Config(**cfg), init_pqc6
-    elif kind == "cmlp":
-        config, init = CmlpConfig(**cfg), init_cmlp
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(cfg, dict) or cfg.get("kind") not in tuple(_KINDS):  # a list kind is unhashable
+        raise ValueError(f"checkpoint config names no known model kind: {cfg!r}")
+    _, config_cls, init = _KINDS[cfg.pop("kind")]
+    config = _config_from(config_cls, cfg)
     template = init(config, np.random.default_rng(0))  # for the shapes only
     want = tree_arrays(template.params)
     for name, arr in want.items():

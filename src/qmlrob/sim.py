@@ -492,10 +492,11 @@ def _fuse(targets) -> list[_Block]:
 # t (within the control-1 rows, for two targets) fills row ``a`` of the
 # window's matrix at the two columns that agree with ``a`` outside bit t, with
 # m[bit t of a, 0 | 1]; the other rows keep the identity. Those index maps,
-# and the pieces of each member's 2x2 matrix, are part of the compiled
-# program, so building every U_k of every segment of one shape takes a few
-# numpy ops. A run of per-sample single-qubit blocks becomes a ``_Kron``, the
-# per-sample Kronecker product of their fused matrices, built when applied.
+# and where each member's 2x2 matrix sits in the bound stacks of shared
+# gates, are part of the compiled program, so building every U_k of every
+# segment of one shape takes a few numpy ops. A run of per-sample
+# single-qubit blocks becomes a ``_Kron``, the per-sample Kronecker product
+# of their fused matrices, built when applied.
 # ---------------------------------------------------------------------------
 
 # Widest window. Measured with one BLAS thread: a batch-32 gradient of a
@@ -538,34 +539,29 @@ class _Kron:
         return out
 
 
-def _embedding(n_qubits: int, runs: list[list[tuple[str, tuple[int, ...]]]]):
-    """For S runs of K (kind, targets): each member's 2x2 matrix is ``fixed +
-    cos(angle / 2) rot - i sin(angle / 2) gen``, with ``fixed`` the fixed
-    gate's matrix, ``rot`` I and ``gen`` the generator, or 0 where they do
-    not apply ([S, K, 2, 2] each); and per member and row, the target bit
+def _embedding(n_qubits: int, runs: list[list[tuple[int, ...]]]):
+    """For S runs of K members' targets: per member and row, the target bit
     ``rows`` [S, K, dim], the columns ``cols`` [S, K, dim, 2] and whether the
     member acts on the row, ``active`` [S, K, dim]."""
-    zero = np.zeros((2, 2))
-    fixed = np.array([[_FIXED_GATES.get(kind, zero) for kind, _ in run] for run in runs])
-    rot = np.array([[_I if kind in ROTATION_GATES else zero for kind, _ in run] for run in runs])
-    gen = np.array([[_GENERATORS.get(kind, zero) for kind, _ in run] for run in runs])
     a = np.arange(1 << n_qubits)
-    t = np.array([[ts[-1] for _, ts in run] for run in runs])[..., None]
-    c = np.array([[ts[0] for _, ts in run] for run in runs])[..., None]
+    t = np.array([[ts[-1] for ts in run] for run in runs])[..., None]
+    c = np.array([[ts[0] for ts in run] for run in runs])[..., None]
     low = a & ~(1 << t)
     cols = np.stack([low, low | (1 << t)], axis=-1)
     active = (t == c) | (((a >> c) & 1) == 1)
-    return fixed, rot, gen, (a >> t) & 1, cols, active
+    return (a >> t) & 1, cols, active
 
 
 def apply_dense(amps: np.ndarray, mat: np.ndarray, lo: int = 0) -> np.ndarray:
     """Apply a matrix on the window of k qubits from ``lo`` on (the whole
     register by default) to amplitudes [B, ..., dim]: one [2^k, 2^k] matrix,
     or a stack [B, 2^k, 2^k] with one per sample. The window's bits split the
-    basis index into (high, window, low)."""
+    basis index into (high, window, low). One state [dim] is a batch of one."""
     d = mat.shape[-1]
     if mat.ndim == 2 and d == amps.shape[-1]:
         return amps @ mat.T
+    if amps.ndim == 1:
+        return apply_dense(amps[None], mat, lo)[0]
     x = amps.reshape(amps.shape[0], -1, d, 1 << lo)
     if lo == 0:
         return (x[..., 0] @ np.swapaxes(mat, -1, -2)).reshape(amps.shape)
@@ -597,16 +593,15 @@ class Program:
     back to the OS and faulted in again on the next."""
 
     def __init__(self, n_qubits: int, gates: tuple[tuple, ...]):
-        self.kinds = [kind for kind, _, _ in gates]
         self.tags = [tag for _, _, tag in gates]
-        self.theta = np.array([g for g, t in enumerate(self.tags) if t and t[0] == "theta"], int)
         self.idx = np.array([tag[1] if tag else 0 for tag in self.tags], dtype=int)
         self.scale = np.array([tag[2] if tag else 0.0 for tag in self.tags])
-        self.gens = np.array([_GENERATORS.get(kind, 0 * _I) for kind in self.kinds])
+        self.gens = np.array([_GENERATORS.get(kind, 0 * _I) for kind, _, _ in gates])
         self.blocks = _fuse([ts for _, ts, _ in gates])
         # Each gate's class (width, per sample) and its row in the class's
         # stack of matrices: a row per shared gate and per distinct per-sample
-        # gate; and the rows of each kind.
+        # gate; and per kind, its rows and the flat index and scale that their
+        # angles read (``params[idx]``, or ``X[:, idx]`` per sample).
         self.cls = [(len(ts), bool(tag) and tag[0] == "x") for _, ts, tag in gates]
         self.classes: dict[tuple[int, bool], list[int]] = {}
         self.row, seen = [], {}
@@ -615,10 +610,13 @@ class Program:
             self.row.append(seen.setdefault(gate if self.cls[g][1] else g, len(rows)))
             if self.row[-1] == len(rows):
                 rows.append(g)
-        self.by_kind: dict[tuple[int, bool], dict[str, list[int]]] = {}
+        self.by_kind: dict[tuple[int, bool], dict[str, tuple]] = {}
         for cls, gs in self.classes.items():
-            for r, g in enumerate(gs):
-                self.by_kind.setdefault(cls, {}).setdefault(self.kinds[g], []).append(r)
+            for kind in dict.fromkeys(gates[g][0] for g in gs):
+                rows = [r for r, g in enumerate(gs) if gates[g][0] == kind]
+                g = np.array(gs)[rows]
+                scale = self.scale[g, None] if cls[1] else self.scale[g]
+                self.by_kind.setdefault(cls, {})[kind] = rows, self.idx[g], scale
         # The pure path's runs, each [kind, lowest qubit, highest, blocks]:
         # "dense", "kron", or None for one block that is a kernel call (wider
         # than a window, or per sample and on two qubits or a narrow register).
@@ -648,24 +646,28 @@ class Program:
             key = (len(members), w)
             self.layout.append(("dense", *key, len(runs.setdefault(key, []))))
             runs[key].append((lo, members))
+        # A shared gate's row in the stacks of ``gate_mats``' shared classes,
+        # one-qubit gates first.
+        n1 = len(self.classes.get((1, False), ()))
+        stack_row = [r + n1 * (w == 2) for r, (w, _) in zip(self.row, self.cls)]
         self.segments = {}
         for (K, w), same in runs.items():
             los, same = zip(*same)
-            emb = _embedding(w, [[(gates[g][0], tuple(t - lo for t in gates[g][1])) for g in run]
-                                 for lo, run in zip(los, same)])
-            fixed, rot, gen, rows, cols, active = emb
-            s, k, _ = np.ogrid[: len(same), :K, :1]
-            gens = np.where(active[..., None], gen[s, k, rows], 0)
+            members = np.array(same)
+            rows, cols, active = _embedding(w, [[tuple(t - lo for t in gates[g][1]) for g in run]
+                                                for lo, run in zip(los, same)])
+            gens = np.where(active[..., None], self.gens[members[..., None], rows], 0)
             # Each U_k: where its active rows' entries go (flat) and come from
-            # (member, target bit), and its other rows' diagonal entries (flat).
+            # (stack row, target bit), and its other rows' diagonal entries (flat).
+            s, k, _ = np.ogrid[: len(same), :K, :1]
             a = np.arange(1 << w)
             shape = (len(same), K, a.size, a.size)
             at = np.broadcast_arrays(s[..., None], k[..., None], a[:, None], cols)
             flat = np.ravel_multi_index(at, shape)[active]
             ones = np.ravel_multi_index(np.broadcast_arrays(s, k, a, a), shape)[~active]
-            src = tuple(x[active] for x in np.broadcast_arrays(s, k, rows))
+            src = tuple(x[active] for x in np.broadcast_arrays(np.array(stack_row)[members, None], rows))
             prefix = np.zeros(shape, dtype=complex)
-            self.segments[K, w] = (np.array(same), los, fixed, rot, gen, cols, gens, flat, ones, src, prefix)
+            self.segments[K, w] = (members, los, cols, gens, flat, ones, src, prefix)
         self.groups = self._groups(range(len(self.blocks)))
         self.pure_groups = self._groups(solo)
 
@@ -680,22 +682,16 @@ class Program:
         return {k: (ids, g := np.array([self.blocks[i].members for i in ids]), rows[g])
                 for k, ids in groups.items()}
 
-    def _angles(self, params: np.ndarray) -> np.ndarray:
-        """Each gate's shared angle (0 for fixed and per-sample gates)."""
-        angles = np.zeros(len(self.kinds))
-        angles[self.theta] = self.scale[self.theta] * params[self.idx[self.theta]]
-        return angles
-
     def gate_mats(self, params: np.ndarray, X: np.ndarray) -> dict:
         """Each class's stack of 2x2 matrices (a CX/CRX's target block):
         [N, 2, 2] shared, [N, B, 2, 2] per sample."""
-        angles, out = self._angles(params), {}
-        for cls, gates in self.classes.items():
-            th = self.scale[gates, None] * X.T[self.idx[gates]] if cls[1] else angles[gates]
-            out[cls] = mats = np.empty(th.shape + (2, 2), dtype=complex)
-            for kind, rows in self.by_kind[cls].items():
-                mats[rows] = (_rotation_matrices(kind, th[rows]) if kind in ROTATION_GATES
-                              else _FIXED_GATES[kind])
+        out = {}
+        for cls, kinds in self.by_kind.items():
+            n = len(self.classes[cls])
+            out[cls] = mats = np.empty((n, len(X), 2, 2) if cls[1] else (n, 2, 2), dtype=complex)
+            for kind, (rows, idx, scale) in kinds.items():
+                mats[rows] = (_rotation_matrices(kind, scale * (X.T[idx] if cls[1] else params[idx]))
+                              if kind in ROTATION_GATES else _FIXED_GATES[kind])
         return out
 
     def products(self, stacks: dict, groups: dict) -> dict[int, np.ndarray]:
@@ -734,14 +730,13 @@ class Program:
             out.update((self.blocks[i], [c if c is None else c[g] for c in cg]) for g, i in enumerate(ids))
         return out
 
-    def _dense_segments(self, params: np.ndarray) -> dict:
-        angles, built = self._angles(params), {}
-        for (K, w), (members, los, fixed, rot, gen, cols, gens, flat, ones, src, prefix) in self.segments.items():
-            half = angles[members][..., None, None] / 2
-            mats = fixed + np.cos(half) * rot - 1j * np.sin(half) * gen
+    def _dense_segments(self, stacks: dict) -> dict:
+        built = {}
+        for (K, w), (members, los, cols, gens, flat, ones, src, prefix) in self.segments.items():
+            shared = np.concatenate([stacks[c] for c in ((1, False), (2, False)) if c in stacks])
             prefix.fill(0)
             prefix.reshape(-1)[ones] = 1
-            prefix.reshape(-1)[flat] = mats[src]
+            prefix.reshape(-1)[flat] = shared[src]
             for i in range(1, K):
                 prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
             for n, seg in enumerate(members):
@@ -754,7 +749,7 @@ class Program:
         segment; and the class stacks they came from."""
         stacks = self.gate_mats(params, X)
         mats = self.products(stacks, self.pure_groups)
-        segments = self._dense_segments(params)
+        segments = self._dense_segments(stacks)
         pair = lambda i: (self.blocks[i], mats[i])
         return [pair(e) if isinstance(e, int) else _Kron(e[1], tuple(map(pair, e[2])))
                 if e[0] == "kron" else segments[e] for e in self.layout], stacks
@@ -822,11 +817,8 @@ class Program:
     def forward_dm(self, params: np.ndarray, X: np.ndarray, dm: np.ndarray, noise) -> np.ndarray:
         """The noisy pass: each block's superoperator is the product of its
         members' local superoperators, each gate then the noise on its targets."""
-        stacks = {}
-        for (width, per_sample), mats in self.gate_mats(params, X).items():
-            u = mats if width == 1 else controlled_unitary(mats)
-            s = [local_superop(x, noise) for x in u] if per_sample else local_superop(u, noise)
-            stacks[width, per_sample] = np.stack(s) if per_sample else s
+        stacks = {cls: local_superop(mats if cls[0] == 1 else controlled_unitary(mats), noise)
+                  for cls, mats in self.gate_mats(params, X).items()}
         superops = self.products(stacks, self.groups)
         return _apply_superops(dm, ((superops[i], b.targets) for i, b in enumerate(self.blocks)))
 

@@ -15,7 +15,7 @@ from qmlrob.encoding import (
     initial_amplitudes,
     rescale,
 )
-from qmlrob.sim import CircuitSpec, expect_z_amps, run_circuit
+from qmlrob.sim import CircuitSpec, StateVector, expect_z_amps, run_circuit, run_circuit_amps
 
 ANGLE_SPEC = EncodingSpec("angle", 4, (0.0, math.pi))
 ANGLE1 = EncodingSpec("angle", 1, (0, math.pi))
@@ -215,11 +215,22 @@ class TestRescale:
 
 
 class TestEncodeState:
-    def test_angle_matches_circuit(self):
-        spec = EncodingSpec("angle", 2, (0, math.pi))
-        x = np.array([0.3, 1.1])
-        direct = run_circuit(CircuitSpec(2, tuple(encoder_gates(x, "angle", 2))), "pure")
-        assert np.allclose(encode_state(x, spec).amplitudes, direct.amplitudes)
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("kind", ["angle", "amplitude", "dense_angle"])
+    def test_matches_circuit(self, kind, n):
+        # A batch runs the per-sample gates of the same program (at 9 qubits
+        # in Kronecker windows), bit for bit; one input's shared angles run
+        # as dense segments instead.
+        spec = EncodingSpec(kind, n, (0, math.pi))
+        F = {"angle": n, "amplitude": n + 1, "dense_angle": 2 * n}[kind]
+        X = np.random.default_rng(n).uniform(0.1, 1.5, size=(3, F))
+        init = initial_amplitudes(X, kind, n)
+        batch = run_circuit_amps(CircuitSpec(n, tuple(encoder_gates(X, kind, n))), init)
+        assert np.array_equal(encode_states(X, spec), batch)
+        for x, amps in zip(X, init):
+            circ = CircuitSpec(n, tuple(encoder_gates(x, kind, n)), initial_state=StateVector(n, amps))
+            direct = run_circuit(circ, "pure").amplitudes
+            assert np.allclose(encode_state(x, spec).amplitudes, direct, atol=1e-12)
 
     def test_amplitude_shortcut(self):
         spec = EncodingSpec("amplitude", 2, (0, 1))

@@ -265,8 +265,9 @@ class TestFusedMixedForward:
             calls[0] = 0
             models.quantum_features(m, X, "mixed", NOISE_TUPLES[2])
             counts.append(calls[0])
-        # One call per block width for the shared gates, one per encoder gate.
-        assert counts == [2 + 4, 2 + 4]
+        # One call per gate class: the shared gates of each block width, and
+        # the per-sample encoder gates.
+        assert counts == [2 + 1, 2 + 1]
 
 
 class TestGradients:
@@ -843,6 +844,26 @@ class TestCheckpoints:
         del data["param_b2"]
         np.savez(path, **data)
         with pytest.raises(ValueError, match="'b2'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("config, match", [
+        ('{"input_dim": 2, "hidden_dim": 2, "n_classes": 2}', "no known model kind"),
+        ('{"kind": "rnn", "n_qubits": 4}', "no known model kind: {'kind': 'rnn'"),
+        ('{"kind": ["qnn"], "n_qubits": 4}', "no known model kind"),
+        ('{"kind": "qnn", "n_qubits": 4, "depth": 3}', "'depth'"),
+        ('{"kind": "qmlp", "layers": 1, "n_classes": 2, "n_qubits": 2}', "'encoding'"),
+        ('{"kind": "qmlp", "layers": 1, "n_classes": 2, "n_qubits": 2, "encoding": 3}',
+         "EncodingSpec must be a mapping"),
+        ('{"kind": "cmlp", "input_dim": 2, "hidden_dim": "2", "n_classes": 2}', "malformed"),
+        ('["kind", "cmlp"]', r"no known model kind: \['kind', 'cmlp'\]"),
+    ])
+    def test_rejects_malformed_config(self, tmp_path, config, match):
+        path = tmp_path / "model.npz"
+        save_model(path, init_cmlp(CmlpConfig(2, 2, 2), np.random.default_rng(0)), seed=0)
+        data = dict(np.load(path, allow_pickle=False))
+        data["config"] = np.array(config)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=match):
             load_model(path)
 
     def test_rejects_unknown_version(self, tmp_path):

@@ -316,6 +316,14 @@ class TestRunCircuit:
         rho = dense_channel(rho, make_depolarizing(p), 1, 2)
         assert np.max(np.abs(out.entries - rho)) < 1e-12
 
+    @pytest.mark.parametrize("n", [sim.N_DENSE + 1, 8])
+    def test_unbatched_state_on_a_wide_register(self, n):
+        # Shared runs there are window segments, applied to one state without
+        # a batch axis.
+        circ = random_circuit(np.random.default_rng(40 + n), n, 16)
+        batched = sim.run_circuit_amps(circ, zero_state(n).amplitudes[None])[0]
+        assert np.array_equal(run_circuit(circ, "pure").amplitudes, batched)
+
 
 class TestRandomCircuitInvariants:
     def test_pure_norm_preserved_1000_circuits(self):
