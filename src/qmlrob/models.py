@@ -620,17 +620,12 @@ _KINDS = {
 
 def _config_from(cls, fields):
     """The config dataclass ``cls`` from its checkpoint fields: a nested
-    config from its mapping, a list as a tuple. A config that is no mapping,
-    has an unknown field, lacks a required one or holds a value of the wrong
-    type raises a ValueError that names it."""
+    config from its mapping, a list as a tuple."""
     if not isinstance(fields, dict):
         raise ValueError(f"checkpoint {cls.__name__} must be a mapping, got {type(fields).__name__}")
     hints = typing.get_type_hints(cls)
-    try:
-        return cls(**{k: _config_from(hints[k], v) if dataclasses.is_dataclass(hints.get(k))
-                      else tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
-    except TypeError as exc:
-        raise ValueError(f"malformed checkpoint config: {exc}") from None
+    return cls(**{k: _config_from(hints[k], v) if dataclasses.is_dataclass(hints.get(k))
+                  else tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
 
 
 def save_model(path, model: Model, seed: int) -> None:
@@ -658,8 +653,10 @@ def load_model(path) -> tuple[Model, int]:
     if not isinstance(cfg, dict) or cfg.get("kind") not in tuple(_KINDS):  # a list kind is unhashable
         raise ValueError(f"checkpoint config names no known model kind: {cfg!r}")
     _, config_cls, init = _KINDS[cfg.pop("kind")]
-    config = _config_from(config_cls, cfg)
-    template = init(config, np.random.default_rng(0))  # for the shapes only
+    try:  # an unknown or missing field, or a value of the wrong type
+        template = init(_config_from(config_cls, cfg), np.random.default_rng(0))  # for the shapes only
+    except TypeError as exc:
+        raise ValueError(f"malformed checkpoint config: {exc}") from None
     want = tree_arrays(template.params)
     for name, arr in want.items():
         if name not in params:

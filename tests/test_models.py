@@ -855,6 +855,7 @@ class TestCheckpoints:
         ('{"kind": "qmlp", "layers": 1, "n_classes": 2, "n_qubits": 2, "encoding": 3}',
          "EncodingSpec must be a mapping"),
         ('{"kind": "cmlp", "input_dim": 2, "hidden_dim": "2", "n_classes": 2}', "malformed"),
+        ('{"kind": "qnn", "n_qubits": 2.5}', "malformed"),
         ('["kind", "cmlp"]', r"no known model kind: \['kind', 'cmlp'\]"),
     ])
     def test_rejects_malformed_config(self, tmp_path, config, match):
