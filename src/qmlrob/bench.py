@@ -28,7 +28,7 @@ from . import models as models_mod
 from . import training as training_mod
 from .attacks import AttackConfig
 from .defense import QDetectConfig
-from .encoding import EncodingSpec, feature_bounds, rescale
+from .encoding import EncodingSpec, check_features, feature_bounds, rescale
 from .sim import KrausChannel, make_amplitude_damping, make_depolarizing
 from .training import Metrics, TrainConfig
 
@@ -332,15 +332,11 @@ def _prepare_data(config: ExperimentConfig, rng: np.random.Generator):
 def _check_features(config: ExperimentConfig, n_features: int) -> None:
     """Reject a model that cannot take the data's ``n_features``."""
     spec = config.model
-    if spec.kind == "qnn" and n_features != 2 * spec.n_qubits:
-        raise ConfigError(
-            f"qnn needs {2 * spec.n_qubits} features, data provides {n_features}"
-        )
-    if spec.kind == "qmlp" and spec.encoding == "angle" and n_features > spec.n_qubits:
-        raise ConfigError(
-            f"angle encoding on {spec.n_qubits} qubits takes at most "
-            f"{spec.n_qubits} features, data provides {n_features}"
-        )
+    if spec.kind != "cmlp":
+        try:
+            check_features("dense_angle" if spec.kind == "qnn" else spec.encoding, spec.n_qubits, n_features)
+        except ValueError as err:
+            raise ConfigError(f"{spec.kind}: {err} from the data") from None
 
 
 def _build_model(config: ExperimentConfig, n_features: int, n_classes: int, rng):

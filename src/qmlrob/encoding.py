@@ -4,10 +4,10 @@ Three schemes are supported: one RY rotation per qubit (angle), a normalized
 amplitude write (amplitude), and the four-rotation-per-qubit dense angle
 sequence used by the 4-qubit QNN.
 
-Each encoder is defined here once: ``encoder_structure`` gives its gates,
-each tagged with the input feature its angle comes from, ``encoder_gates``
-those gates for a batch and ``initial_amplitudes`` the state they start
-from. The models' circuits and ``encode_states`` use them.
+Each encoder is defined here once: ``check_features`` its input widths,
+``encoder_structure`` its gates, each tagged with the input feature its
+angle comes from, ``encoder_gates`` those gates for a batch and
+``initial_amplitudes`` the state they start from.
 """
 
 from __future__ import annotations
@@ -34,6 +34,16 @@ class EncodingSpec:
             raise ValueError("input_range must be ascending")
 
 
+def check_features(kind: str, n_qubits: int, n_features: int) -> None:
+    """Raise ``ValueError`` unless the encoder takes inputs of ``n_features``:
+    angle at most one per qubit, amplitude at most ``2**n_qubits``, dense
+    angle exactly two per qubit."""
+    most = {"angle": n_qubits, "amplitude": 2**n_qubits}.get(kind, 2 * n_qubits)
+    if n_features > most or (kind == "dense_angle" and n_features != most):
+        rule = "exactly" if kind == "dense_angle" else "at most"
+        raise ValueError(f"{kind} encoding on {n_qubits} qubits takes {rule} {most} features, got {n_features}")
+
+
 def encoder_structure(kind: str, n_qubits: int, n_features: int) -> list[tuple]:
     """The encoder's gates for inputs of ``n_features`` as (kind, targets,
     tag): the gate's angle is ``scale * x[i]`` for its tag ("x", i, scale).
@@ -42,14 +52,11 @@ def encoder_structure(kind: str, n_qubits: int, n_features: int) -> list[tuple]:
     untouched. dense_angle: per qubit q with (a, b) = (x[2q], x[2q+1]):
     RZ(a), RX(b), RZ(a/2), RX(b/2), in that order. amplitude: no gates.
     """
+    check_features(kind, n_qubits, n_features)
     if kind == "angle":
-        if n_features > n_qubits:
-            raise ValueError(f"{n_features} features exceed {n_qubits} qubits")
         return [("RY", (q,), ("x", q, 1.0)) for q in range(n_features)]
     if kind == "amplitude":
         return []
-    if n_features != 2 * n_qubits:
-        raise ValueError(f"dense angle encoding needs {2 * n_qubits} features, got {n_features}")
     return [
         (g, (q,), ("x", 2 * q + (g == "RX"), scale))
         for q in range(n_qubits)
@@ -69,13 +76,11 @@ def encoder_gates(X: np.ndarray, kind: str, n_qubits: int) -> list[GateOp]:
 def initial_amplitudes(X: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
     """Amplitudes [..., 2**n_qubits] the encoder starts from: each input
     zero-padded and L2-normalized for amplitude encoding, |0...0> otherwise."""
-    dim = 2**n_qubits
-    init = np.zeros(X.shape[:-1] + (dim,), dtype=complex)
+    check_features(kind, n_qubits, X.shape[-1])
+    init = np.zeros(X.shape[:-1] + (2**n_qubits,), dtype=complex)
     if kind != "amplitude":
         init[..., 0] = 1.0
         return init
-    if X.shape[-1] > dim:
-        raise ValueError(f"{X.shape[-1]} features exceed 2**{n_qubits} amplitudes")
     norms = np.linalg.norm(X, axis=-1)
     if np.any(norms == 0):
         raise ValueError("amplitude encoding of an all-zero vector is undefined")

@@ -271,8 +271,12 @@ def build_pqc6_circuit(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _z_diags(n_qubits: int) -> np.ndarray:
-    return np.stack([sim.z_diagonal(n_qubits, q) for q in range(n_qubits)])
+    """[n, 2**n]: each qubit's Z diagonal, built once per width (read-only)."""
+    z = np.stack([sim.z_diagonal(n_qubits, q) for q in range(n_qubits)])
+    z.flags.writeable = False
+    return z
 
 
 def _apply_instr_dm(dm: np.ndarray, ins: GateOp) -> np.ndarray:

@@ -35,16 +35,36 @@ tracked axis order (``_apply_superops``): each block moves only its targets'
 axes last, with one copy.
 
 Measurement is an exact expectation value; there is no shot sampling.
+
+Memory: importing the module sets glibc's ``M_MMAP_THRESHOLD`` (1 GiB) and
+``M_TRIM_THRESHOLD`` (2 GiB) with ``mallopt``, so freed blocks stay in the
+heap. Otherwise glibc hands large freed blocks back to the OS, and a 9-qubit
+batch-64 gradient step faults its 6 MB of temporaries in again: about 1,600
+minor faults a step (``resource.getrusage().ru_minflt``), none with them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
 import numpy as np
 
 ATOL = 1e-9
+
+
+def _keep_freed_memory() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: the largest int
+
+
+_keep_freed_memory()
 
 ROTATION_GATES = frozenset({"RX", "RY", "RZ", "CRX"})
 SINGLE_QUBIT_GATES = frozenset({"X", "Y", "Z", "H", "RX", "RY", "RZ"})
@@ -584,13 +604,7 @@ class Program:
     """A circuit compiled once. ``gates`` lists (kind, targets, tag) in
     circuit order, the tag as in ``GateOp``: ("theta", i, scale) reads the
     angle ``scale * params[i]`` of a flat parameter vector, ("x", i, scale)
-    the per-sample angle ``scale * X[:, i]``; fixed gates have none.
-
-    A bind writes its dense segments' prefix products into stacks that the
-    program owns, so they hold until the program's next bind. With a fresh
-    stack per call the QNN's batch-32 step took about 6.2 ms instead of 5.0
-    (one BLAS thread, glibc): freed after each call, the stack's pages went
-    back to the OS and faulted in again on the next."""
+    the per-sample angle ``scale * X[:, i]``; fixed gates have none."""
 
     def __init__(self, n_qubits: int, gates: tuple[tuple, ...]):
         self.tags = [tag for _, _, tag in gates]
@@ -666,8 +680,7 @@ class Program:
             flat = np.ravel_multi_index(at, shape)[active]
             ones = np.ravel_multi_index(np.broadcast_arrays(s, k, a, a), shape)[~active]
             src = tuple(x[active] for x in np.broadcast_arrays(np.array(stack_row)[members, None], rows))
-            prefix = np.zeros(shape, dtype=complex)
-            self.segments[K, w] = (members, los, cols, gens, flat, ones, src, prefix)
+            self.segments[K, w] = (members, los, cols, gens, flat, ones, src)
         self.groups = self._groups(range(len(self.blocks)))
         self.pure_groups = self._groups(solo)
 
@@ -732,9 +745,9 @@ class Program:
 
     def _dense_segments(self, stacks: dict) -> dict:
         built = {}
-        for (K, w), (members, los, cols, gens, flat, ones, src, prefix) in self.segments.items():
+        for (K, w), (members, los, cols, gens, flat, ones, src) in self.segments.items():
             shared = np.concatenate([stacks[c] for c in ((1, False), (2, False)) if c in stacks])
-            prefix.fill(0)
+            prefix = np.zeros((len(members), K, 1 << w, 1 << w), dtype=complex)
             prefix.reshape(-1)[ones] = 1
             prefix.reshape(-1)[flat] = shared[src]
             for i in range(1, K):

@@ -587,6 +587,8 @@ class TestCli:
             lambda raw: raw["data"].update(pca_dim=5),
             lambda raw: raw.update(model={"kind": "qnn", "n_qubits": 3}),
             lambda raw: raw.update(model={"kind": "qmlp", "encoding": "angle", "n_qubits": 3}),
+            lambda raw: (raw["data"].update(dim=8),
+                         raw.update(model={"kind": "qmlp", "encoding": "amplitude", "n_qubits": 2})),
         ],
         ids=[
             "channel_without_p",
@@ -609,6 +611,7 @@ class TestCli:
             "pca_dim_above_the_data",
             "qnn_feature_mismatch",
             "angle_width_too_small",
+            "amplitude_width_too_small",
         ],
     )
     def test_malformed_config_gives_one_error_line(self, tmp_path, edit):
