@@ -7,10 +7,14 @@ sections call for, and print where reports went.
 ``--seed`` runs only seed N of each config; ``--out`` writes each config's
 reports under ``DIR/<config stem>/``, so two checkouts' outputs compare with
 ``diff -r -x summary.txt``. After each config's report paths comes the line
-``== <subcommand> <config file> <wall seconds> s``.
+``== <subcommand> <config file> <wall seconds> s``. Each config runs in a
+fresh ``python -m qmlrob.cli`` process, so its time does not depend on the
+heap that the configs before it left behind.
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -20,6 +24,8 @@ import yaml
 from qmlrob import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# The directory holding the qmlrob imported here, for the child processes.
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def plan(config_dir: Path = CONFIG_DIR) -> list[tuple[str, Path]]:
@@ -49,9 +55,11 @@ def cli_args(sub: str, path: Path, seed: int | None = None, out: Path | None = N
 
 
 def run_config(sub: str, path: Path, seed: int | None = None, out: Path | None = None) -> int:
-    """Run one config, then print its ``==`` line; returns the CLI's exit code."""
+    """Run one config in its own process, then print its ``==`` line;
+    returns the CLI's exit code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
-    rc = cli.main(cli_args(sub, path, seed, out))
+    rc = subprocess.run([sys.executable, "-m", "qmlrob.cli", *cli_args(sub, path, seed, out)], env=env).returncode
     print(f"== {sub} {path.name} {time.perf_counter() - t0:.2f} s", flush=True)
     return rc
 

@@ -558,19 +558,25 @@ def render_table(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _median(values: list[float]) -> float:
+    """``np.median``'s float operations, without its import of ``numpy.ma``."""
+    v, h = sorted(values), len(values) // 2
+    return float(v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2)
+
+
 def _median_block(rows: list[ReportRow]) -> list[str]:
     lines = []
     keys = sorted({(r.condition, r.eval_mode) for r in rows})
     for cond, mode in keys:
         grp = [r for r in rows if r.condition == cond and r.eval_mode == mode]
-        acc = float(np.median([r.metrics.accuracy for r in grp]))
+        acc = _median([r.metrics.accuracy for r in grp])
         line = f"  {cond:<9s} {mode:<6s} acc={acc:6.2f}"
         rels = [r.relative_accuracy for r in grp if r.relative_accuracy is not None]
         if rels:
-            line += f"  rel_acc={float(np.median(rels)):.2f}"
+            line += f"  rel_acc={_median(rels):.2f}"
         asrs = [r.asr for r in grp if r.asr is not None]
         if asrs:
-            line += f"  asr={float(np.median(asrs)):6.2f}"
+            line += f"  asr={_median(asrs):6.2f}"
         lines.append(line)
     return lines
 

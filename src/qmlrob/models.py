@@ -300,10 +300,14 @@ def quantum_features(
         return _pure_pass(model, X)[0]
     if mode != "mixed":
         raise ValueError(f"unknown mode {mode!r}")
-    init = _initial(model, X)
-    dm = np.einsum("bi,bj->bij", init, init.conj())
-    dm = _compiled(model.config, X.shape[1]).forward_dm(flatten_params(model.params), X, dm, noise)
-    return np.einsum("bii->bi", dm).real @ _z_diags(model.config.n_qubits).T
+    n = model.config.n_qubits
+    if isinstance(model, QmlpModel) and model.config.encoding.kind == "amplitude":
+        psi = _initial(model, X).real  # an amplitude encoding's amplitudes are real
+        r = sim.dm_to_pauli(psi[:, :, None] * psi[:, None, :])
+    else:  # the encoders' gates start from |0...0>
+        r = np.broadcast_to(sim.zero_pauli(n), (len(X),) + (4,) * n)
+    r = _compiled(model.config, X.shape[1]).forward_pauli(flatten_params(model.params), X, r, noise)
+    return sim.expect_z_pauli(r)
 
 
 def _pure_pass(model: QuantumModel, X: np.ndarray, kept: dict | None = None):

@@ -9,18 +9,20 @@ Local operators on a gate's targets use a local index in which the first
 target is the high bit: for (control, target) the control is bit 1 and the
 target bit 0, so a controlled gate is ``diag(I, U)``.
 
-The noisy path applies each gate together with its noise channels as one
-Liouville superoperator on those targets (Greenbaum, arXiv:1509.02921). With
-``d = 2**k`` for ``k`` targets, it is a ``d*d x d*d`` matrix ``S`` acting on
-the row-major vectorised local density matrix, ``vec(rho)[i*d + j] =
-rho[i, j]``, so ``rho'[i, j] = sum_{k, l} S[i*d + j, k*d + l] rho[k, l]``. A
-unitary contributes ``kron(U, conj(U))``; channels multiply it from the left
-in the order they act.
+The noisy path keeps a state as its Pauli vector, the real r_P = Tr(P rho)
+over the Pauli strings P (I, X, Y, Z per qubit): a ``[B] + [4] * n`` array,
+one axis per qubit, the highest first. A gate with its noise channels acts
+on its targets' axes as one real Pauli transfer matrix R[P, Q] = Tr(P Phi(Q))
+/ 2**k on ``k`` targets (Chow et al., arXiv:1202.5344; Greenbaum,
+arXiv:1509.02921), the first target the most significant: a unitary's is
+orthogonal, and channels multiply it from the left in the order they act.
+<Z_q> is the entry with Z on qubit q and I elsewhere. Kraus channels, and
+the tests' reference, use Liouville superoperators on vec(rho)[i*d + j].
 
 ``GateOp`` is the public single-gate type; its angle may be per sample, so
 one gate list describes a whole batch. Every circuit pass runs a ``Program``:
 a circuit's structure compiled once, bound to its angles per call. It walks
-the fused blocks of ``_fuse``: one kernel call, or one superoperator, per
+the fused blocks of ``_fuse``: one kernel call, or one transfer matrix, per
 block. The pure path runs each maximal run of blocks that fits a window of
 at most ``N_DENSE`` consecutive qubits as one matmul on that window: a run
 whose angles the whole batch shares as a dense segment (on up to
@@ -29,10 +31,10 @@ registers a run of per-sample single-qubit blocks as the per-sample
 Kronecker product of their matrices. Only blocks wider than a window, and
 per-sample blocks on narrow registers, are kernel calls. The adjoint sweep
 (``Program.adjoint``) walks the same items back. The noisy
-path builds every block's superoperator in a few batched calls, then
-applies them to a density matrix kept as a ``[B] + [2] * 2n`` array in a
-tracked axis order (``_apply_superops``): each block moves only its targets'
-axes last, with one copy.
+path builds every block's transfer matrix in a few batched calls, then
+applies them to a Pauli vector kept in a tracked axis order
+(``_apply_local``): each block moves only its targets' axes last, with one
+copy.
 
 Measurement is an exact expectation value; there is no shot sampling.
 
@@ -355,29 +357,9 @@ def apply_gate_dm(dm: DensityMatrix, gate: GateOp) -> DensityMatrix:
     return DensityMatrix(dm.n_qubits, run_circuit_dm(circuit, dm.entries))
 
 
-_SUPEROP_CACHE: dict[tuple[str, float], np.ndarray] = {}
-
-
-def _channel_superop(channel: KrausChannel) -> np.ndarray:
-    """S[i, k, j, l] = sum_m E_m[i, k] conj(E_m[j, l]), so that
-    rho'[i, j] = sum_{k, l} S[i, k, j, l] rho[k, l] on the target qubit."""
-    key = (channel.kind, channel.param)
-    s = _SUPEROP_CACHE.get(key)
-    if s is None:
-        s = sum(np.einsum("ik,jl->ikjl", e, e.conj()) for e in channel.operators)
-        _SUPEROP_CACHE[key] = s
-    return s
-
-
 def apply_channel_entries(dm: np.ndarray, channel: KrausChannel, qubit: int) -> np.ndarray:
-    dim = dm.shape[-1]
-    low = 1 << qubit
-    blocks = (dim // (2 * low), 2, low)
-    dmr = dm.reshape(dm.shape[:-2] + blocks + blocks)
-    out = np.einsum(
-        "ikjl,...akbcld->...aibcjd", _channel_superop(channel), dmr, optimize=True
-    )
-    return out.reshape(dm.shape)
+    """sum_m E_m rho E_m^dagger on ``qubit`` of density matrices [..., d, d]."""
+    return apply_local_superop(dm, sum(local_superop(e) for e in channel.operators), (qubit,))
 
 
 def apply_channel(dm: DensityMatrix, channel: KrausChannel, qubit: int) -> DensityMatrix:
@@ -388,84 +370,142 @@ def apply_channel(dm: DensityMatrix, channel: KrausChannel, qubit: int) -> Densi
 
 
 # ---------------------------------------------------------------------------
-# Fused local superoperators: a gate and the noise after it as one matmul on
-# the density matrix (layout in the module docstring).
+# Local maps (layouts in the module docstring): Liouville superoperators and
+# the noisy path's transfer matrices, each applied by ``_apply_local``.
 # ---------------------------------------------------------------------------
 
-_NOISE_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}
 
-
-def _noise_superop(noise: tuple[KrausChannel, ...], n_targets: int) -> np.ndarray:
-    """Superoperator of every channel of ``noise`` on the first target, then
-    every channel on the second, built once per noise tuple by applying the
-    channels to each local basis matrix."""
-    key = (n_targets, tuple((ch.kind, ch.param) for ch in noise))
-    s = _NOISE_SUPEROP_CACHE.get(key)
-    if s is None:
-        d = 1 << n_targets
-        images = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        for q in reversed(range(n_targets)):  # the first target is the high bit
-            for ch in noise:
-                images = apply_channel_entries(images, ch, q)
-        s = np.ascontiguousarray(images.reshape(d * d, d * d).T)
-        s.flags.writeable = False
-        _NOISE_SUPEROP_CACHE[key] = s
-    return s
-
-
-def local_superop(u: np.ndarray, noise: tuple[KrausChannel, ...] = ()) -> np.ndarray:
-    """Superoperator of the 1- or 2-qubit unitary ``u`` (``[d, d]`` or a
-    batch ``[B, d, d]``) followed by ``noise`` on each of its targets:
-    ``[d*d, d*d]`` or ``[B, d*d, d*d]``."""
+def local_superop(u: np.ndarray) -> np.ndarray:
+    """Superoperator of the 1- or 2-qubit map rho -> u rho u^dagger (``u``
+    ``[d, d]`` or a batch ``[B, d, d]``): ``[d*d, d*d]`` or ``[B, d*d, d*d]``."""
     d = u.shape[-1]
-    s = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
-        u.shape[:-2] + (d * d, d * d)
-    )
-    if noise:
-        s = _noise_superop(noise, d.bit_length() - 1) @ s
-    return s
+    return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(u.shape[:-2] + (d * d, d * d))
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_strings(k: int) -> np.ndarray:
+    """[4**k, 2**k, 2**k]: the Pauli strings on k <= 2 targets, the first high."""
+    one = np.array([_I, _X, _Y, _Z])
+    return one if k == 1 else np.einsum("pij,qkl->pqikjl", one, one).reshape(16, 4, 4)
+
+
+def _transfer(s: np.ndarray) -> np.ndarray:
+    """R[P, Q] = Tr(P Phi(Q)) / d of the map Phi with superoperator ``s``."""
+    p = _pauli_strings(int(math.log2(len(s))) // 2).reshape(len(s), -1)  # row P: vec(P)
+    return (p.conj() @ s @ p.T).real / math.sqrt(len(s))
+
+
+_TRANSFER_CACHE: dict[tuple, list] = {}
+
+
+def _transfer_terms(kind: str, noise: tuple[KrausChannel, ...]) -> list[tuple]:
+    """Gate ``kind`` then ``noise`` as sum_f f(angle) K_f: the nonzero (f,
+    K_f), f None meaning 1, built once per kind and noise. t(u), the transfer
+    matrix of rho -> u rho u^dagger then the noise, is quadratic in u, and a
+    rotation is U = M0 + cos(th/2) M1 + sin(th/2) M2 (M0 = 0 without a
+    control), so t(U) = sum_ab u_a u_b t_ab with t_ab + t_ba = t(M_a + M_b) -
+    t(M_a) - t(M_b) for a != b."""
+    key = (kind, tuple((ch.kind, ch.param) for ch in noise))
+    if key not in _TRANSFER_CACHE:
+        n = np.eye(4)  # the noise on one target, then on each of two
+        for ch in noise:
+            n = _transfer(sum(local_superop(e) for e in ch.operators)) @ n
+        lift, n = (controlled_unitary, np.kron(n, n)) if kind in TWO_QUBIT_GATES else (np.asarray, n)
+        t = lambda u: n @ _transfer(local_superop(u))
+        if kind not in ROTATION_GATES:
+            ks = [t(lift(_FIXED_GATES[kind]))]
+        else:  # c^2 = (1 + cos th) / 2, s^2 = (1 - cos th) / 2, cs = sin th / 2
+            m0 = lift(0 * _I)
+            m1, m2 = lift(_I) - m0, -1j * (lift(_GENERATORS[kind]) - m0)
+            t0, t1, t2 = t(m0), t(m1), t(m2)
+            ks = [t0 + (t1 + t2) / 2, (t1 - t2) / 2, (t(m1 + m2) - t1 - t2) / 2,
+                  t(m0 + m1) - t0 - t1, t(m0 + m2) - t0 - t2]
+        fs = (None, np.cos, np.sin, lambda th: np.cos(th / 2), lambda th: np.sin(th / 2))
+        _TRANSFER_CACHE[key] = [(f, k) for f, k in zip(fs, ks) if k.any()]
+    return _TRANSFER_CACHE[key]
+
+
+def transfer_matrices(shape: tuple[int, ...], kinds: dict, noise: tuple[KrausChannel, ...]) -> np.ndarray:
+    """Transfer matrices ``shape`` [..., D, D] of a class of gates, each then
+    ``noise``: ``kinds`` maps a kind to its rows and angles (None: fixed)."""
+    out = np.empty(shape)
+    for kind, (rows, th) in kinds.items():
+        terms = _transfer_terms(kind, noise)
+        out[rows] = sum(k if f is None else f(th)[..., None, None] * k for f, k in terms)
+    return out
 
 
 @functools.lru_cache(maxsize=4096)
-def _tracked_perm(order: tuple[int, ...], targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For a ``[B] + [2] * 2n`` density matrix whose axis ``i`` holds the
-    canonical axis ``order[i]`` (0 is the batch, qubit q's row bit is n - q
-    and its column bit 2n - q): the transpose that keeps the other axes in
-    their order and moves the targets' row bits, then their column bits,
-    last; and the axis order after it."""
-    n = len(order) // 2
-    rows = [n - t for t in targets]
-    moved = [order.index(a) for a in rows + [r + n for r in rows]]
+def _tracked_perm(order: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For an array whose axis ``i`` holds the canonical axis ``order[i]``:
+    the transpose that keeps the other axes in their order and moves the
+    canonical ``axes`` last, in that order; and the axis order after it."""
+    moved = [order.index(a) for a in axes]
     perm = tuple([i for i in range(len(order)) if i not in moved] + moved)
     return perm, tuple(order[i] for i in perm)
 
 
-def _apply_superops(dm: np.ndarray, steps) -> np.ndarray:
-    """Apply each ``(s, targets)`` of ``steps`` in turn: a local
-    superoperator, shared or one per sample of a ``[B, D, D]`` batch. The
-    density matrix stays a ``[B] + [2] * 2n`` array whose axis order is
-    tracked, so a step costs one copying reshape that moves only its
-    targets' axes last (none when they already are) and one matmul; the
-    canonical order comes back once at the end."""
-    n = dm.shape[-1].bit_length() - 1
-    x = dm.reshape((-1,) + (2,) * (2 * n))
-    order = tuple(range(2 * n + 1))
-    for s, targets in steps:
-        perm, order = _tracked_perm(order, targets)
+def _apply_local(x: np.ndarray, steps) -> np.ndarray:
+    """Apply each ``(m, axes)`` of ``steps`` to ``x`` [B, ...]: a matrix, or
+    one per sample [B, D, D], on the canonical ``axes`` (the first the most
+    significant). With the axis order tracked, a step costs one copying
+    reshape that moves only its axes last (none when they already are) and
+    one matmul; the canonical order comes back as a view at the end."""
+    order = tuple(range(x.ndim))
+    for m, axes in steps:
+        perm, order = _tracked_perm(order, axes)
         x = x.transpose(perm)
-        dd = s.shape[-1]
-        if s.ndim == 2:
-            y = x.reshape(-1, dd) @ s.T
+        dd = m.shape[-1]
+        if m.ndim == 2:
+            y = x.reshape(-1, dd) @ m.T
         else:
-            y = x.reshape(x.shape[0], -1, dd) @ np.swapaxes(s, -1, -2)
+            y = x.reshape(x.shape[0], -1, dd) @ np.swapaxes(m, -1, -2)
         x = y.reshape(x.shape)
-    return x.transpose(np.argsort(order)).reshape(dm.shape)
+    return x.transpose(np.argsort(order))
 
 
 def apply_local_superop(dm: np.ndarray, s: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a local superoperator ``s`` (shared, or one per sample of a
     ``[B, D, D]`` batch) to ``targets`` of a density matrix."""
-    return _apply_superops(dm, [(s, targets)])
+    n = dm.shape[-1].bit_length() - 1
+    axes = tuple(n - t for t in targets)  # a qubit's row bit, then its column bit
+    x = dm.reshape((-1,) + (2,) * (2 * n))
+    return _apply_local(x, [(s, axes + tuple(a + n for a in axes))]).reshape(dm.shape)
+
+
+def dm_to_pauli(rho: np.ndarray) -> np.ndarray:
+    """Pauli vectors [B] + [4] * n of Hermitian [B, 2**n, 2**n] (or one), in
+    real arithmetic: per qubit t[P, 2i + j] = Re P[j, i] + Im P[j, i], so
+    Tr(P rho) = i^y t(rho)_P for y Ys in P. r_P is real, so t(Im rho)_P = 0
+    for even y, t(Re rho)_P for odd: r_P = (-1)^ceil(y/2) t(Re + Im rho)_P."""
+    n = rho.shape[-1].bit_length() - 1
+    pairs = (0, *[a for q in range(1, n + 1) for a in (q, q + n)])  # each qubit's row, column bit
+    x = rho.real + rho.imag if np.iscomplexobj(rho) else rho
+    x = x.reshape((-1,) + (2,) * (2 * n)).transpose(pairs).reshape((-1,) + (4,) * n)
+    t = _pauli_strings(1).transpose(0, 2, 1).reshape(4, 4)
+    y = functools.reduce(np.add.outer, [np.array([0, 0, 1, 0])] * n)
+    return _apply_local(x, [(t.real + t.imag, (a,)) for a in range(1, n + 1)]) * (1 - (y + 1) // 2 % 2 * 2)
+
+
+def pauli_to_dm(r: np.ndarray) -> np.ndarray:
+    """Density matrices [B, 2**n, 2**n] of Pauli vectors [B] + [4] * n."""
+    n = r.ndim - 1
+    t = _pauli_strings(1).reshape(4, 4).T / 2  # t[2i + j, P] = P[i, j] / 2
+    x = _apply_local(r, [(t, (a,)) for a in range(1, n + 1)]).reshape((-1,) + (2,) * (2 * n))
+    return x.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)).reshape(len(r), 1 << n, 1 << n)
+
+
+@functools.lru_cache(maxsize=16)
+def zero_pauli(n_qubits: int) -> np.ndarray:
+    """The Pauli vector [4] * n of |0...0>: 1 where each qubit has I or Z."""
+    r = functools.reduce(np.multiply.outer, [np.array([1.0, 0.0, 0.0, 1.0])] * n_qubits)
+    r.flags.writeable = False
+    return r
+
+
+def expect_z_pauli(r: np.ndarray) -> np.ndarray:
+    """<Z_q> [B, n] of Pauli vectors [B] + [4] * n: r with Z on q, I elsewhere."""
+    return r[(slice(None), *(3 * np.eye(r.ndim - 1, dtype=int)[::-1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +652,7 @@ class Program:
         self.scale = np.array([tag[2] if tag else 0.0 for tag in self.tags])
         self.gens = np.array([_GENERATORS.get(kind, 0 * _I) for kind, _, _ in gates])
         self.blocks = _fuse([ts for _, ts, _ in gates])
+        self.axes = [tuple(n_qubits - t for t in b.targets) for b in self.blocks]  # of a Pauli vector
         # Each gate's class (width, per sample) and its row in the class's
         # stack of matrices: a row per shared gate and per distinct per-sample
         # gate; and per kind, its rows and the flat index and scale that their
@@ -695,16 +736,23 @@ class Program:
         return {k: (ids, g := np.array([self.blocks[i].members for i in ids]), rows[g])
                 for k, ids in groups.items()}
 
+    def angles(self, params: np.ndarray, X: np.ndarray) -> dict:
+        """Per class, its stack's shape ([N] shared, [N, B] per sample), and
+        per kind its rows and their angles (None for a fixed gate)."""
+        return {cls: ((len(self.classes[cls]), len(X)) if cls[1] else (len(self.classes[cls]),),
+                      {kind: (rows, scale * (X.T[idx] if cls[1] else params[idx])
+                              if kind in ROTATION_GATES else None)
+                       for kind, (rows, idx, scale) in kinds.items()})
+                for cls, kinds in self.by_kind.items()}
+
     def gate_mats(self, params: np.ndarray, X: np.ndarray) -> dict:
         """Each class's stack of 2x2 matrices (a CX/CRX's target block):
         [N, 2, 2] shared, [N, B, 2, 2] per sample."""
         out = {}
-        for cls, kinds in self.by_kind.items():
-            n = len(self.classes[cls])
-            out[cls] = mats = np.empty((n, len(X), 2, 2) if cls[1] else (n, 2, 2), dtype=complex)
-            for kind, (rows, idx, scale) in kinds.items():
-                mats[rows] = (_rotation_matrices(kind, scale * (X.T[idx] if cls[1] else params[idx]))
-                              if kind in ROTATION_GATES else _FIXED_GATES[kind])
+        for cls, (shape, kinds) in self.angles(params, X).items():
+            out[cls] = mats = np.empty(shape + (2, 2), dtype=complex)
+            for kind, (rows, th) in kinds.items():
+                mats[rows] = _FIXED_GATES[kind] if th is None else _rotation_matrices(kind, th)
         return out
 
     def products(self, stacks: dict, groups: dict) -> dict[int, np.ndarray]:
@@ -827,13 +875,14 @@ class Program:
                          if isinstance(item, _Kron) else _apply_instr(state, item[0], _dagger(item[1])))
         return dflat, dX, state[:, 1] if bra else None
 
-    def forward_dm(self, params: np.ndarray, X: np.ndarray, dm: np.ndarray, noise) -> np.ndarray:
-        """The noisy pass: each block's superoperator is the product of its
-        members' local superoperators, each gate then the noise on its targets."""
-        stacks = {cls: local_superop(mats if cls[0] == 1 else controlled_unitary(mats), noise)
-                  for cls, mats in self.gate_mats(params, X).items()}
-        superops = self.products(stacks, self.groups)
-        return _apply_superops(dm, ((superops[i], b.targets) for i, b in enumerate(self.blocks)))
+    def forward_pauli(self, params: np.ndarray, X: np.ndarray, r: np.ndarray, noise) -> np.ndarray:
+        """The noisy pass on Pauli vectors ``r`` [B] + [4] * n: each block's
+        transfer matrix is the product of its members', each gate then the
+        noise on its targets. Returns a view in canonical axis order."""
+        stacks = {cls: transfer_matrices(shape + (4 ** cls[0],) * 2, kinds, noise)
+                  for cls, (shape, kinds) in self.angles(params, X).items()}
+        mats = self.products(stacks, self.groups)
+        return _apply_local(r, ((mats[i], axes) for i, axes in enumerate(self.axes)))
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -971,7 +1020,7 @@ def run_circuit_dm(circuit: CircuitSpec, dm: np.ndarray | None = None) -> np.nda
     if dm is None:
         dm = pure_to_dm(_start_state(circuit)).entries
     program, params, X = compile_ops(circuit.n_qubits, circuit.ops)
-    return program.forward_dm(params, X, dm, circuit.noise)
+    return pauli_to_dm(program.forward_pauli(params, X, dm_to_pauli(dm), circuit.noise)).reshape(dm.shape)
 
 
 def run_circuit(circuit: CircuitSpec, mode: str) -> StateVector | DensityMatrix:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -452,6 +453,20 @@ class TestEmission:
         assert "medians" in text
         assert "rel_acc=0.50" in text
 
+    @pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
+    def test_summary_medians_equal_numpy_median(self, n_seeds, monkeypatch):
+        # Odd and even seed counts: the middle value, or the mean of two.
+        acc = [96.0, 48.25, 71.5, 100 / 3]
+        rows = [row for seed in range(n_seeds) for row in (
+            ReportRow(seed, "qmlp", "baseline", "pure", Metrics(acc[seed], 1.0, 2.0, 3.0), 1.0, None),
+            ReportRow(seed, "qmlp", "attacked", "mixed", Metrics(acc[-1 - seed], 1.0, 2.0, 3.0),
+                      acc[-1 - seed] / acc[seed], acc[seed] / 7),
+        )]
+        report = dataclasses.replace(fixture_report(), rows=rows)
+        text = bench.render_summary(report)
+        monkeypatch.setattr(bench, "_median", lambda v: float(np.median(v)))
+        assert text.encode() == bench.render_summary(report).encode()
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(fixture_report(), tmp_path, "csv")
@@ -463,14 +478,14 @@ class TestEmission:
         assert rows[1]["asr"] == "37.5000"
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, command=("-m", "qmlrob.cli")):
     # The child must import the same qmlrob as this process, from any cwd: a
     # relative PYTHONPATH entry such as "src" does not resolve from tmp_path.
     package_root = str(Path(qmlrob.__file__).resolve().parent.parent)
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qmlrob.cli", *args],
+        [sys.executable, *command, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -490,6 +505,15 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "table.tsv").exists()
         assert (tmp_path / "out" / "summary.txt").exists()
+
+    def test_baseline_run_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma costs some 7 ms to import; np.median's first call imports it.
+        path = self.write_config(tmp_path, base_raw(out_dir=str(tmp_path / "out"), seeds=[0, 1]))
+        code = ("import sys; from qmlrob import cli; rc = cli.main(sys.argv[1:]); "
+                "print('numpy.ma' in sys.modules); sys.exit(rc)")
+        result = run_cli(["baseline", "--config", str(path)], tmp_path, ("-c", code))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_baseline_rejects_attack_section(self, tmp_path):
         raw = base_raw(attack={"kind": "label_flip", "ratio": 0.5})
@@ -743,6 +767,17 @@ class TestRunAllConfigs:
         lines = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"== baseline tiny\.yaml \d+\.\d\d s", lines[-1])
         assert (tmp_path / "out" / "tiny" / "table.tsv").exists()
+
+    def test_each_config_runs_in_a_fresh_process(self, tmp_path, monkeypatch):
+        # A config run in this process would meet the heap earlier ones left.
+        module = load_run_all_configs()
+        monkeypatch.setattr(module.cli, "main", lambda argv: pytest.fail("ran in this process"))
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump(base_raw(seeds=[0])))
+        assert module.run_config("baseline", path, 0, tmp_path / "out") == 0
+        assert (tmp_path / "out" / "tiny" / "table.tsv").exists()
+        path.write_text(yaml.safe_dump(base_raw(seeds=[0], train={"batch_size": 0})))
+        assert module.run_config("baseline", path, 0, tmp_path / "bad") == 1
 
 
 # config_hash is a column of every table.tsv: these values pin it for each

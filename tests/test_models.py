@@ -246,6 +246,14 @@ class TestFusedMixedForward:
         got = models.quantum_features(m, X, "mixed", noise)
         assert np.max(np.abs(got - per_gate_mixed_features(m, X, noise))) < 1e-12
 
+    def test_wide_qmlp_matches_per_gate_loop(self):
+        # Nine qubits: a Pauli vector of 4**9 entries, blocks on qubit pairs
+        # far apart, and the ring's CRX(8, 0) closing back to qubit 0.
+        m = make_qmlp(layers=2, n=9, n_classes=3, seed=15)
+        X = np.random.default_rng(5).uniform(0.1, 1.0, size=(2, 9))
+        got = models.quantum_features(m, X, "mixed", NOISE_TUPLES[2])
+        assert np.max(np.abs(got - per_gate_mixed_features(m, X, NOISE_TUPLES[2]))) < 1e-12
+
     def test_damping_order_is_visible(self):
         # Damping and depolarizing do not commute, so the two orders differ.
         m = make_qmlp(layers=2, n=3, n_classes=3, seed=13)
@@ -256,13 +264,13 @@ class TestFusedMixedForward:
 
     def test_superoperator_build_does_not_grow_with_depth(self, monkeypatch):
         calls = [0]
-        real = sim.local_superop
+        real = sim.transfer_matrices
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "local_superop", counted)
+        monkeypatch.setattr(sim, "transfer_matrices", counted)
         X = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 4))
         counts = []
         for layers in (2, 10):

@@ -509,9 +509,47 @@ class TestLocalSuperop:
             for q in op.targets:
                 for ch in noise:
                     want = dense_channel(want, ch, q, n)
-            s = sim.local_superop(gate_unitary(op), noise)
-            out = sim.apply_local_superop(dm, s, op.targets)
+            # The noise lives in the gate's transfer matrix, on the Pauli vector.
+            r = sim.dm_to_pauli(dm)
+            r = sim._apply_local(r, [(gate_transfer(op, noise), tuple(n - t for t in op.targets))])
+            out = sim.pauli_to_dm(r)[0]
             assert np.max(np.abs(out - want)) < 1e-12
+
+
+def channel_transfer(channel):
+    return sim._transfer(sum(sim.local_superop(e) for e in channel.operators))
+
+
+class TestTransferMatrices:
+    """Closed forms in the order I, X, Y, Z (Greenbaum, arXiv:1509.02921)."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
+    def test_depolarizing(self, p):
+        got = channel_transfer(make_depolarizing(p))
+        assert np.max(np.abs(got - np.diag([1, 1 - 4 * p / 3, 1 - 4 * p / 3, 1 - 4 * p / 3]))) < 1e-15
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01, 0.4, 1.0])
+    def test_amplitude_damping(self, gamma):
+        got = channel_transfer(make_amplitude_damping(gamma))
+        c = math.sqrt(1 - gamma)
+        want = [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [gamma, 0, 0, 1 - gamma]]
+        assert np.max(np.abs(got - np.array(want))) < 1e-15
+
+    @pytest.mark.parametrize("kind", sorted(sim.GATE_KINDS))
+    def test_every_gate_is_real_orthogonal_and_unital(self, kind):
+        # Built from the angle terms, it equals the Liouville superoperator
+        # taken to the Pauli basis; a unitary's is orthogonal, with first row
+        # and first column e_0 (trace preserving, unital).
+        rng = np.random.default_rng(24)
+        targets = (0,) if kind in sim.SINGLE_QUBIT_GATES else (0, 1)
+        for angle in rng.uniform(-2 * np.pi, 2 * np.pi, size=5) if kind in sim.ROTATION_GATES else [None]:
+            op = GateOp(kind, targets, angle)
+            r = gate_transfer(op, ())
+            assert r.dtype == np.float64
+            assert np.max(np.abs(r - sim._transfer(sim.local_superop(gate_unitary(op))))) < 1e-14
+            assert np.max(np.abs(r.T @ r - np.eye(len(r)))) < 1e-14
+            e0 = np.eye(len(r))[0]
+            assert np.max(np.abs(r[0] - e0)) < 1e-15 and np.max(np.abs(r[:, 0] - e0)) < 1e-15
 
 
 MIXED_NOISE = [
@@ -539,17 +577,27 @@ def random_dm(rng, batch_shape, n):
     return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
+def gate_transfer(op, noise):
+    """One gate's transfer matrix, followed by ``noise``: [D, D] for a shared
+    angle, [B, D, D] for one per sample."""
+    th = None if op.angle is None else np.asarray(op.angle, dtype=float)[None]
+    shape = ((1,) if th is None else th.shape) + (4 ** len(op.targets),) * 2
+    return sim.transfer_matrices(shape, {op.kind: ([0], th)}, noise)[0]
+
+
 def per_block_dm(ops, dm, noise):
-    """Reference noisy pass: each fused block's superoperator, formed one
-    member at a time (S = S_k @ ... @ S_1), applied with apply_local_superop
-    in canonical axis order."""
+    """Reference noisy pass on the Pauli vector of ``dm``: each fused block's
+    transfer matrix, formed one member at a time (R = R_k @ ... @ R_1),
+    applied with the tracked-axis applier in canonical axis order."""
+    n = dm.shape[-1].bit_length() - 1
+    r = sim.dm_to_pauli(dm)
     for block in sim._fuse([op.targets for op in ops]):
-        s = None
+        m = None
         for op in (ops[g] for g in block.members):
-            sk = sim.local_superop(gate_unitary(op), noise)
-            s = sk if s is None else sk @ s
-        dm = sim.apply_local_superop(dm, s, block.targets)
-    return dm
+            rk = gate_transfer(op, noise)
+            m = rk if m is None else rk @ m
+        r = sim._apply_local(r, [(m, tuple(n - t for t in block.targets))])
+    return sim.pauli_to_dm(r).reshape(dm.shape)
 
 
 def per_gate_dm(ops, dm, noise):
@@ -564,13 +612,13 @@ def per_gate_dm(ops, dm, noise):
 
 
 class TestTrackedMixedForward:
-    """``Program.forward_dm`` builds every block's superoperator at once and keeps
-    the density matrix in a tracked axis order; it must equal the per-block
-    reference bit for bit."""
+    """``Program.forward_pauli`` builds every block's transfer matrix at once
+    and keeps the Pauli vector in a tracked axis order; it must equal the
+    per-block reference bit for bit."""
 
     def check(self, ops, dm, noise):
         program, params, X = sim.compile_ops(dm.shape[-1].bit_length() - 1, ops)
-        got = program.forward_dm(params, X, dm, noise)
+        got = sim.pauli_to_dm(program.forward_pauli(params, X, sim.dm_to_pauli(dm), noise))
         assert np.array_equal(got, per_block_dm(ops, dm, noise))
         assert np.max(np.abs(got - per_gate_dm(ops, dm, noise))) < 1e-12
 
@@ -607,8 +655,9 @@ class TestTrackedMixedForward:
             self.check(ops, random_dm(rng, (4,), 2), noise)
 
     def test_block_whose_targets_are_already_last(self):
-        # After the first CRX(0, 1) the axis order is (batch, row 0, row 1,
-        # col 0, col 1), so the next block on (0, 1) needs no transpose.
+        # On two qubits the Pauli vector's axes are (batch, qubit 1, qubit 0).
+        # After the first CRX(0, 1) the axis order is (batch, qubit 0, qubit
+        # 1), so the next block on (0, 1) needs no transpose.
         rng = np.random.default_rng(61)
         ops = [
             GateOp("CRX", (0, 1), rng.uniform(-np.pi, np.pi, size=2)),
@@ -616,8 +665,9 @@ class TestTrackedMixedForward:
             GateOp("CRX", (0, 1), 0.9),
             GateOp("H", (1,)),
         ]
-        _, order = sim._tracked_perm((0, 1, 2, 3, 4), (0, 1))
-        assert sim._tracked_perm(order, (0, 1))[0] == (0, 1, 2, 3, 4)
+        _, order = sim._tracked_perm((0, 1, 2), (2, 1))
+        assert order == (0, 2, 1)
+        assert sim._tracked_perm(order, (2, 1))[0] == (0, 1, 2)
         for noise in MIXED_NOISE:
             self.check(ops, random_dm(rng, (2,), 2), noise)
 
