@@ -1,7 +1,7 @@
 """Golden tables: the exact ``table.tsv`` text of five tiny real runs on
 quantum models, pinned so that a faster simulation path must reproduce
 every byte. Each case runs twice in one process; the second run meets warm
-caches (compiled circuits, bound segments, superoperators) and must give
+caches (compiled circuits, bound segments, transfer-matrix terms) and must give
 the same bytes as the first."""
 
 import pytest
