@@ -78,6 +78,7 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _I = np.eye(2, dtype=complex)
+_P1 = np.diag([0, 1]).astype(complex)  # the projector on |1>
 
 
 _FIXED_GATES = {"X": _X, "CX": _X, "Y": _Y, "Z": _Z, "H": _H}
@@ -547,16 +548,17 @@ def _fuse(targets) -> list[_Block]:
 # that window's bits of the basis index.
 #
 # A run of blocks whose members all have shared angles becomes a dense
-# segment: its members' 2^k x 2^k unitaries U_k on the window, their prefix
-# products P_k = U_k ... U_1, and the total P_K. A 2x2 matrix ``m`` on target
-# t (within the control-1 rows, for two targets) fills row ``a`` of the
-# window's matrix at the two columns that agree with ``a`` outside bit t, with
-# m[bit t of a, 0 | 1]; the other rows keep the identity. Those index maps,
-# and where each member's 2x2 matrix sits in the bound stacks of shared
-# gates, are part of the compiled program, so building every U_k of every
-# segment of one shape takes a few numpy ops. A run of per-sample
-# single-qubit blocks becomes a ``_Kron``, the per-sample Kronecker product
-# of their fused matrices, built when applied.
+# segment, a chain of commuting units (``_units``): members on distinct
+# single qubits, or two-qubit members with one control and distinct
+# targets. A unit's 2^k x 2^k matrix V_u on the window is the Kronecker
+# product of its members' 2x2 matrices, the identity on the other qubits and
+# P1 = diag(0, 1) on a control, plus the identity on the rows whose control
+# bit is 0. The segment keeps the prefix products P_u = V_u ... V_1, the
+# last its matrix: one matmul per unit, not per member. Which stack row
+# feeds each factor is part of the compiled program, so building every V_u
+# of every segment of one shape takes a few stacked numpy ops. A run of
+# per-sample single-qubit blocks becomes a ``_Kron``, the per-sample
+# Kronecker product of their fused matrices, built when applied.
 # ---------------------------------------------------------------------------
 
 # Widest window. Measured with one BLAS thread: a batch-32 gradient of a
@@ -570,9 +572,10 @@ N_DENSE = 5
 @dataclass(frozen=True)
 class _Segment:
     members: tuple[int, ...]  # gate indices, in circuit order
+    unit: np.ndarray  # [K]: each member's unit
     cols: np.ndarray  # [K, d, 2]: the row index with bit t set to 0 | 1
     gens: np.ndarray  # [K, d, 2]: G_k at (row, cols); 0 for fixed gates
-    prefix: np.ndarray  # [K, d, d]: P_k = U_k ... U_1; the last is U
+    prefix: np.ndarray  # [U, d, d]: P_u = V_u ... V_1; the last is the segment's
     lo: int  # the window's lowest qubit
 
     def matrix(self) -> np.ndarray:
@@ -599,13 +602,35 @@ class _Kron:
         return out
 
 
-def _embedding(n_qubits: int, runs: list[list[tuple[int, ...]]]):
-    """For S runs of K members' targets: per member and row, the target bit
-    ``rows`` [S, K, dim], the columns ``cols`` [S, K, dim, 2] and whether the
-    member acts on the row, ``active`` [S, K, dim]."""
+def _units(targets) -> list[int]:
+    """Each gate's unit, for a run of gates on ``targets``: the earliest
+    that it fits and that every later unit commutes with (gates commute
+    here if they share no qubit or only their control), else a new one."""
+    units: list[list[int]] = []  # [qubit mask, control or -1]
+    out = []
+    for ts in targets:
+        mask, c = sum(1 << q for q in ts), ts[0] if len(ts) == 2 else -1
+        at = len(units)
+        for u in reversed(range(len(units))):
+            ov, uc = units[u][0] & mask, units[u][1]
+            if ov and not (uc == c >= 0 and ov == 1 << c):
+                break
+            if uc == c:
+                at = u
+        if at == len(units):
+            units.append([0, c])
+        units[at][0] |= mask
+        out.append(at)
+    return out
+
+
+def _embedding(n_qubits: int, t: np.ndarray, c: np.ndarray):
+    """For S runs of K members with targets ``t`` and controls ``c`` [S, K]
+    (c = t for one qubit): per member and row, the target bit ``rows`` [S,
+    K, dim], the columns ``cols`` [S, K, dim, 2] and whether the member acts
+    on the row, ``active`` [S, K, dim]."""
     a = np.arange(1 << n_qubits)
-    t = np.array([[ts[-1] for ts in run] for run in runs])[..., None]
-    c = np.array([[ts[0] for ts in run] for run in runs])[..., None]
+    t, c = t[..., None], c[..., None]
     low = a & ~(1 << t)
     cols = np.stack([low, low | (1 << t)], axis=-1)
     active = (t == c) | (((a >> c) & 1) == 1)
@@ -688,8 +713,8 @@ class Program:
             else:
                 spans.append([kind, lo, hi, [i]])
         # The layout: a block's index, ("kron", lo, blocks), or ("dense", K,
-        # w, number) for the number-th dense segment of K members on w
-        # qubits; segments of one shape are built together.
+        # U, w, number) for the number-th dense segment of K members in U
+        # units on w qubits; segments of one shape are built together.
         self.layout, runs, solo = [], {}, []
         for kind, lo, hi, ids in spans:
             if kind != "dense":
@@ -698,30 +723,34 @@ class Program:
                 continue
             lo, w = (0, n_qubits) if n_qubits <= N_DENSE else (lo, hi - lo + 1)
             members = [g for i in ids for g in self.blocks[i].members]
-            key = (len(members), w)
+            unit = _units([gates[g][1] for g in members])
+            key = (len(members), max(unit) + 1, w)
             self.layout.append(("dense", *key, len(runs.setdefault(key, []))))
-            runs[key].append((lo, members))
+            runs[key].append((lo, members, unit))
         # A shared gate's row in the stacks of ``gate_mats``' shared classes,
-        # one-qubit gates first.
+        # one-qubit gates first; the rows of the identity and P1 follow them.
         n1 = len(self.classes.get((1, False), ()))
-        stack_row = [r + n1 * (w == 2) for r, (w, _) in zip(self.row, self.cls)]
+        stack_row = np.array([r + n1 * (w == 2) for r, (w, _) in zip(self.row, self.cls)])
+        eye = n1 + len(self.classes.get((2, False), ()))
         self.segments = {}
-        for (K, w), same in runs.items():
-            los, same = zip(*same)
-            members = np.array(same)
-            rows, cols, active = _embedding(w, [[tuple(t - lo for t in gates[g][1]) for g in run]
-                                                for lo, run in zip(los, same)])
+        for (K, U, w), same in runs.items():
+            los, members, unit = map(np.array, zip(*same))
+            # Each member's target and control (its target for one qubit) on the window.
+            t, c = (np.array([[gates[g][1][i] - lo for g in run] for lo, run in zip(los, members)])
+                    for i in (-1, 0))
+            rows, cols, active = _embedding(w, t, c)
             gens = np.where(active[..., None], self.gens[members[..., None], rows], 0)
-            # Each U_k: where its active rows' entries go (flat) and come from
-            # (stack row, target bit), and its other rows' diagonal entries (flat).
-            s, k, _ = np.ogrid[: len(same), :K, :1]
-            a = np.arange(1 << w)
-            shape = (len(same), K, a.size, a.size)
-            at = np.broadcast_arrays(s[..., None], k[..., None], a[:, None], cols)
-            flat = np.ravel_multi_index(at, shape)[active]
-            ones = np.ravel_multi_index(np.broadcast_arrays(s, k, a, a), shape)[~active]
-            src = tuple(x[active] for x in np.broadcast_arrays(np.array(stack_row)[members, None], rows))
-            self.segments[K, w] = (members, los, cols, gens, flat, ones, src)
+            # Each unit's factor per window qubit: a member's stack row, P1 =
+            # diag(0, 1) on a control, else the identity; and the diagonal
+            # ``ones`` that puts the identity on rows whose control bit is 0.
+            s = np.arange(len(members))[:, None]
+            fac = np.full((len(members), U, w), eye)
+            fac[s, unit, c] = eye + 1
+            fac[s, unit, t] = stack_row[members]
+            ctrl = np.zeros((len(members), U), dtype=int)
+            ctrl[s, unit] = np.where(c == t, 0, 1 << c)
+            ones = ((ctrl[..., None] & ~np.arange(1 << w)) != 0).astype(float)
+            self.segments[K, U, w] = (members, los, unit, cols, gens, fac, ones)
         self.groups = self._groups(range(len(self.blocks)))
         self.pure_groups = self._groups(solo)
 
@@ -792,16 +821,21 @@ class Program:
         return out
 
     def _dense_segments(self, stacks: dict) -> dict:
+        """Each dense segment's prefixes P_u = V_u ... V_1 from the shared
+        ``stacks``, built together for the segments of one shape."""
         built = {}
-        for (K, w), (members, los, cols, gens, flat, ones, src) in self.segments.items():
-            shared = np.concatenate([stacks[c] for c in ((1, False), (2, False)) if c in stacks])
-            prefix = np.zeros((len(members), K, 1 << w, 1 << w), dtype=complex)
-            prefix.reshape(-1)[ones] = 1
-            prefix.reshape(-1)[flat] = shared[src]
-            for i in range(1, K):
-                prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
+        shared = np.concatenate([stacks[c] for c in ((1, False), (2, False)) if c in stacks] + [[_I, _P1]])
+        for (K, U, w), (members, los, unit, cols, gens, fac, ones) in self.segments.items():
+            f = shared[fac]  # [S, U, w, 2, 2]
+            prefix = f[:, :, 0]
+            for q in range(1, w):  # the next qubit's factor is the high one
+                p = f[:, :, q, :, None, :, None] * prefix[..., None, :, None, :]
+                prefix = p.reshape(p.shape[:2] + (2 * prefix.shape[-1],) * 2)
+            np.einsum("...ii->...i", prefix)[...] += ones
+            for u in range(1, U):
+                prefix[:, u] = prefix[:, u] @ prefix[:, u - 1]
             for n, seg in enumerate(members):
-                built["dense", K, w, n] = _Segment(tuple(seg), cols[n], gens[n], prefix[n], los[n])
+                built["dense", K, U, w, n] = _Segment(tuple(seg), unit[n], cols[n], gens[n], prefix[n], los[n])
         return built
 
     def bind(self, params: np.ndarray, X: np.ndarray):
@@ -841,7 +875,8 @@ class Program:
         block's M is read at the run's end, and the run is undone with one
         matmul. A dense segment is undone with one matmul; at its start M0 =
         sum_b w_b Tr_rest |psi_b><lambda_b| [d, d] on its window, and member
-        k's gradient is Im Tr(G_k P_k M0 P_k^dagger), P_k its prefix product."""
+        k's gradient is Im Tr(G_k P M0 P^dagger), P the prefix product at
+        its unit (``_segment_grads``)."""
         want = {"both": ("theta", "x"), "params": ("theta",), "inputs": ("x",)}[wrt]
         dflat, dX = np.zeros(params.size), np.zeros(X.shape)
         conj_gens = self.conj_generators(stacks, want)
@@ -928,15 +963,17 @@ def _cross_matrix(state: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
 
 
 def _segment_grads(seg: _Segment, m0: np.ndarray) -> np.ndarray:
-    """Im Tr(G_k P_k M0 P_k^dagger) for every member k of a dense segment (0
-    for fixed gates), with M0 the weighted cross matrix on its window at its
-    start. G_k is nonzero only at (a, cols[k, a, :]), so the trace sums G_k
-    there times the inner product of row ``a`` of P_k with rows ``cols`` of
-    P_k M0; P_k M0 for every member is one gemm."""
-    p = seg.prefix
-    K, dim, _ = p.shape
-    pm = (p.reshape(K * dim, dim) @ m0).reshape(p.shape)
-    t = np.vecdot(p[:, :, None, :], pm[np.arange(K)[:, None, None], seg.cols])
+    """Im Tr(G_k A_u) for every member k of a dense segment (0 for fixed
+    gates), u its unit and A_u = P_u M0 P_u^dagger, with M0 the weighted
+    cross matrix on its window at its start. G_k commutes with every member
+    of its unit, its own gate included, so it reads the same value before
+    and after the unit: units 2j and 2j + 1 both read A_2j (0-based), one
+    A per pair of units. G_k is nonzero only at (a, cols[k, a, :]), so the
+    trace sums G_k there times A at (cols, a); P M0 for every A is one gemm."""
+    p = seg.prefix[::2]
+    n, dim, _ = p.shape
+    a = (p.reshape(n * dim, dim) @ m0).reshape(p.shape) @ _dagger(p)
+    t = a[seg.unit[:, None, None] // 2, seg.cols, np.arange(dim)[:, None]]
     return np.sum(seg.gens * t, axis=(1, 2)).imag
 
 

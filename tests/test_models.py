@@ -542,9 +542,9 @@ class TestGateFusion:
         m = make_qmlp(layers=2, n=9, n_classes=4, seed=64)
         layer = [("kron", 0, (0, 1, 2, 3, 4)), ("kron", 5, (5, 6, 7, 8))]
         assert models._compiled(m.config, 9).layout == [
-            *layer, ("dense", 4, 5, 0), ("dense", 4, 5, 1), 17,
+            *layer, ("dense", 4, 4, 5, 0), ("dense", 4, 4, 5, 1), 17,
             *[("kron", lo, tuple(i + 18 for i in ids)) for _, lo, ids in layer],
-            ("dense", 4, 5, 2), ("dense", 4, 5, 3), 35,
+            ("dense", 4, 4, 5, 2), ("dense", 4, 4, 5, 3), 35,
         ]
         X = np.random.default_rng(65).uniform(0.1, 1.2, size=(3, 9))
         tdist = np.eye(4)[np.arange(3) % 4]
@@ -609,6 +609,26 @@ class TestDenseSegments:
         items = pure_items(m, np.full((2, 4), 0.5))
         assert [isinstance(b, sim._Segment) for b in items] == ([False] * 4 + [True]) * 3
         assert all(len(b.members) == 4 for b in items[4::5])
+        # Each CRX of the ring has the previous one's target as its control.
+        assert all(np.array_equal(b.unit, np.arange(4)) for b in items[4::5])
+
+    def test_qnn_segment_is_39_commuting_units(self):
+        # Layer 0's ring of 12 CRX is 4 units, one per control; each later
+        # layer adds its RY, RZ and RX units and another 4: 4 + 5 * 7.
+        m = init_pqc6(Pqc6Config(), np.random.default_rng(0))
+        seg = pure_items(m, np.full((2, 8), 0.5))[-1]
+        assert seg.prefix.shape == (39, 16, 16)
+        assert np.bincount(seg.unit).tolist() == [3] * 4 + ([4] * 3 + [3] * 4) * 5
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_amplitude_qmlp_layer_is_six_units(self, n):
+        # RY on every qubit, RZ on every qubit, then each CRX of the ring;
+        # the next layer's rotations on the qubits that the ring has left
+        # join its RY and RZ units.
+        m = make_qmlp(layers=5, n=n, n_classes=3, kind="amplitude")
+        (seg,) = pure_items(m, np.full((2, 2**n - 1), 0.5))
+        assert seg.prefix.shape[0] == 5 * (2 + n)
+        assert np.bincount(seg.unit).tolist() == [n, n, *[1] * n] * 5
 
 
 class TestCompiledProgram:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmlrob import models, sim
 from qmlrob.sim import (
@@ -385,7 +385,9 @@ class TestRandomCircuitInvariants:
         # (1, 2) | (2, 0): the second run would span 6 qubits with qubit 0.
         n = sim.N_DENSE + 1
         program, params, X = sim.compile_ops(n, random_circuit(np.random.default_rng(17), n, 12).ops)
-        assert program.layout == [("dense", 2, 3, 0), ("dense", 9, 5, 0), ("dense", 1, 3, 0)]
+        # The second run's 9 members make 8 units: only CX (3, 5) joins CRX
+        # (3, 2), which shares its control.
+        assert program.layout == [("dense", 2, 1, 3, 0), ("dense", 9, 8, 5, 0), ("dense", 1, 1, 3, 0)]
         items = program.bind(params, X)[0]
         assert [(item.lo, item.prefix.shape[-1]) for item in items] == [(0, 8), (1, 32), (0, 8)]
 
@@ -443,6 +445,115 @@ def embed_local(a: np.ndarray, targets, n: int) -> np.ndarray:
             if all(((i >> q) & 1) == ((j >> q) & 1) for q in others):
                 full[i, j] = a[local(i), local(j)]
     return full
+
+
+def unit_rich_circuit(rng, n: int, n_groups: int, batch: int = 0) -> list[GateOp]:
+    """Gates in groups that commuting units gather: runs of one-qubit gates
+    on distinct qubits (rotations, and fixed H, X, Y, Z), and CRX/CX gates
+    sharing a control. With ``batch``, some one-qubit rotations take one
+    angle per sample."""
+    ops = []
+    for _ in range(n_groups):
+        if n > 1 and rng.random() < 0.4:
+            c = int(rng.integers(n))
+            targets = rng.choice([q for q in range(n) if q != c], size=int(rng.integers(1, n)), replace=False)
+            ops += [GateOp("CX", (c, int(t))) if rng.random() < 0.3
+                    else GateOp("CRX", (c, int(t)), float(rng.uniform(-np.pi, np.pi))) for t in targets]
+            continue
+        for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+            if rng.random() < 0.25:
+                ops.append(GateOp("HXYZ"[rng.integers(4)], (int(q),)))
+                continue
+            angle = rng.uniform(-np.pi, np.pi, size=batch) if batch and rng.random() < 0.2 else float(rng.uniform(-np.pi, np.pi))
+            ops.append(GateOp(ROT_KINDS[rng.integers(3)], (int(q),), angle))
+    return ops
+
+
+def dense_generator(op: GateOp, n: int) -> np.ndarray:
+    """The 2**n generator G of a rotation exp(-i angle G / 2): its Pauli on
+    the target, or for CRX X on the target within the control-1 rows."""
+    if op.kind == "CRX":
+        control_0 = 1.0 - ((np.arange(2**n) >> op.targets[0]) & 1)
+        return dense_unitary(GateOp("CX", op.targets), n) - np.diag(control_0)
+    return dense_unitary(GateOp(op.kind[1], op.targets), n)
+
+
+def dense_adjoint_reference(n, ops, init, obs, w):
+    """Gate by gate with dense 2**n matrices: the final states [B, 2**n], and
+    the gradients of <psi| diag(obs_b) |psi> per angle, each shared angle's
+    summed with the weights ``w``, each per-sample angle's times its weight,
+    ordered as ``compile_ops`` orders parameters and input features."""
+    psi, dflat, dX = [], [], []
+    for b, (amp, o) in enumerate(zip(init, obs)):
+        at = lambda op: op.angle if np.ndim(op.angle) == 0 else op.angle[b]
+        mats = [dense_unitary(GateOp(op.kind, op.targets, at(op)), n) for op in ops]
+        states = [amp]
+        for u in mats:
+            states.append(u @ states[-1])
+        # bras[j]: O psi carried back to just after gate j.
+        bras = [o * states[-1]]
+        for u in mats[:0:-1]:
+            bras.insert(0, u.conj().T @ bras[0])
+        grads = [(np.ndim(op.angle) == 0,
+                  2 * np.real(np.vdot(bras[j], -0.5j * dense_generator(op, n) @ states[j + 1])))
+                 for j, op in enumerate(ops) if op.angle is not None]
+        psi.append(states[-1])
+        dflat.append([w[b] * g for shared, g in grads if shared])
+        dX.append([w[b] * g for shared, g in grads if not shared])
+    return np.array(psi), np.sum(dflat, axis=0), np.array(dX)
+
+
+class TestCommutingUnits:
+    """A dense segment runs as a chain of commuting units: gates on distinct
+    single qubits, or two-qubit gates with one control and distinct
+    targets, each unit one Kronecker product. States and every gradient
+    must stay where the gate-by-gate dense products put them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+    def test_states_and_gradients_match_the_dense_reference(self, n):
+        rng = np.random.default_rng(90 + n)
+        B, merged, per_sample = 3, 0, 0
+        for _ in range(4):
+            ops = unit_rich_circuit(rng, n, 8, batch=B)
+            program, params, X = sim.compile_ops(n, ops)
+            items, stacks = program.bind(params, X)
+            segments = [item for item in items if isinstance(item, sim._Segment)]
+            merged += sum(len(s.members) - s.prefix.shape[0] for s in segments)
+            init = rng.normal(size=(B, 2**n)) + 1j * rng.normal(size=(B, 2**n))
+            init /= np.linalg.norm(init, axis=1, keepdims=True)
+            obs = rng.normal(size=(B, n)) @ np.stack([sim.z_diagonal(n, q) for q in range(n)])
+            w = np.linspace(0.5, 1.5, B)
+            kept = {}
+            psi = sim._forward_amps(items, init, kept)
+            state = np.stack([psi, obs * psi], axis=1)
+            dflat, dX, _ = program.adjoint(items, kept, stacks, state, w, params, X)
+            want_psi, want_dflat, want_dX = dense_adjoint_reference(n, ops, init, obs, w)
+            assert np.max(np.abs(psi - want_psi)) < 1e-12
+            assert np.max(np.abs(dflat - want_dflat), initial=0) < 1e-12
+            assert np.max(np.abs(dX - want_dX.reshape(dX.shape)), initial=0) < 1e-12
+            per_sample += dX.size > 0
+        assert merged > 0 and per_sample > 0  # some units hold more than one gate
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 5, 7]))
+    @settings(max_examples=30, deadline=None)
+    def test_a_unit_is_its_members_product_in_either_order(self, seed, n):
+        # V_u = P_u P_{u-1}^dagger; its members commute, so their product
+        # in circuit order and in reverse order are both V_u.
+        ops = unit_rich_circuit(np.random.default_rng(seed), n, 6)
+        program, params, X = sim.compile_ops(n, ops)
+        for seg in (i for i in program.bind(params, X)[0] if isinstance(i, sim._Segment)):
+            w = seg.prefix.shape[-1].bit_length() - 1
+            local = lambda g: GateOp(ops[g].kind, tuple(t - seg.lo for t in ops[g].targets), ops[g].angle)
+            before = np.eye(2**w)
+            for u, p in enumerate(seg.prefix):
+                gates = [local(g) for g, k in zip(seg.members, seg.unit) if k == u]
+                forward = reversed_order = np.eye(2**w)
+                for op in gates:
+                    forward = dense_unitary(op, w) @ forward
+                    reversed_order = reversed_order @ dense_unitary(op, w)
+                assert np.max(np.abs(forward - reversed_order)) < 1e-14
+                assert np.max(np.abs(p @ before.conj().T - reversed_order)) < 1e-14
+                before = p
 
 
 class TestLocalSuperop:
