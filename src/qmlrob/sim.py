@@ -78,7 +78,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _I = np.eye(2, dtype=complex)
-_P1 = np.diag([0, 1]).astype(complex)  # the projector on |1>
 
 
 _FIXED_GATES = {"X": _X, "CX": _X, "Y": _Y, "Z": _Z, "H": _H}
@@ -551,14 +550,17 @@ def _fuse(targets) -> list[_Block]:
 # segment, a chain of commuting units (``_units``): members on distinct
 # single qubits, or two-qubit members with one control and distinct
 # targets. A unit's 2^k x 2^k matrix V_u on the window is the Kronecker
-# product of its members' 2x2 matrices, the identity on the other qubits and
-# P1 = diag(0, 1) on a control, plus the identity on the rows whose control
-# bit is 0. The segment keeps the prefix products P_u = V_u ... V_1, the
-# last its matrix: one matmul per unit, not per member. Which stack row
-# feeds each factor is part of the compiled program, so building every V_u
-# of every segment of one shape takes a few stacked numpy ops. A run of
-# per-sample single-qubit blocks becomes a ``_Kron``, the per-sample
-# Kronecker product of their fused matrices, built when applied.
+# product of its members' 2x2 matrices (within the control-1 rows) and the
+# identity on the window's other qubits (and control-0 rows). It is built
+# from the product on the members' qubits alone, W_u, scattered onto the
+# entries that it fills, so a unit of one gate on a wide window costs no
+# more than its 2^k x 2 entries. The segment keeps the prefix products P_u =
+# V_u ... V_1, the last its matrix: one matmul per unit, not per member.
+# Which stack row feeds each factor and where each entry of W_u goes are
+# part of the compiled program, so building every V_u of every segment of
+# one shape takes a few stacked numpy ops. A run of per-sample single-qubit
+# blocks becomes a ``_Kron``, the per-sample Kronecker product of their
+# fused matrices, built when applied.
 # ---------------------------------------------------------------------------
 
 # Widest window. Measured with one BLAS thread: a batch-32 gradient of a
@@ -602,11 +604,12 @@ class _Kron:
         return out
 
 
-def _units(targets) -> list[int]:
+def _units(targets) -> list[tuple[int, int]]:
     """Each gate's unit, for a run of gates on ``targets``: the earliest
     that it fits and that every later unit commutes with (gates commute
-    here if they share no qubit or only their control), else a new one."""
-    units: list[list[int]] = []  # [qubit mask, control or -1]
+    here if they share no qubit or only their control), else a new one;
+    and its slot there, the number of gates that the unit held before it."""
+    units: list[list[int]] = []  # [qubit mask, control or -1, gates]
     out = []
     for ts in targets:
         mask, c = sum(1 << q for q in ts), ts[0] if len(ts) == 2 else -1
@@ -618,23 +621,11 @@ def _units(targets) -> list[int]:
             if uc == c:
                 at = u
         if at == len(units):
-            units.append([0, c])
+            units.append([0, c, 0])
+        out.append((at, units[at][2]))
         units[at][0] |= mask
-        out.append(at)
+        units[at][2] += 1
     return out
-
-
-def _embedding(n_qubits: int, t: np.ndarray, c: np.ndarray):
-    """For S runs of K members with targets ``t`` and controls ``c`` [S, K]
-    (c = t for one qubit): per member and row, the target bit ``rows`` [S,
-    K, dim], the columns ``cols`` [S, K, dim, 2] and whether the member acts
-    on the row, ``active`` [S, K, dim]."""
-    a = np.arange(1 << n_qubits)
-    t, c = t[..., None], c[..., None]
-    low = a & ~(1 << t)
-    cols = np.stack([low, low | (1 << t)], axis=-1)
-    active = (t == c) | (((a >> c) & 1) == 1)
-    return (a >> t) & 1, cols, active
 
 
 def apply_dense(amps: np.ndarray, mat: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -724,33 +715,41 @@ class Program:
             lo, w = (0, n_qubits) if n_qubits <= N_DENSE else (lo, hi - lo + 1)
             members = [g for i in ids for g in self.blocks[i].members]
             unit = _units([gates[g][1] for g in members])
-            key = (len(members), max(unit) + 1, w)
+            key = (len(members), max(u for u, _ in unit) + 1, w)
             self.layout.append(("dense", *key, len(runs.setdefault(key, []))))
             runs[key].append((lo, members, unit))
         # A shared gate's row in the stacks of ``gate_mats``' shared classes,
-        # one-qubit gates first; the rows of the identity and P1 follow them.
+        # one-qubit gates first; the identity's row follows them.
         n1 = len(self.classes.get((1, False), ()))
         stack_row = np.array([r + n1 * (w == 2) for r, (w, _) in zip(self.row, self.cls)])
         eye = n1 + len(self.classes.get((2, False), ()))
         self.segments = {}
         for (K, U, w), same in runs.items():
-            los, members, unit = map(np.array, zip(*same))
+            los, members, placed = map(np.array, zip(*same))
+            unit, slot = np.moveaxis(placed, -1, 0)  # [S, K] each
             # Each member's target and control (its target for one qubit) on the window.
             t, c = (np.array([[gates[g][1][i] - lo for g in run] for lo, run in zip(los, members)])
                     for i in (-1, 0))
-            rows, cols, active = _embedding(w, t, c)
-            gens = np.where(active[..., None], self.gens[members[..., None], rows], 0)
-            # Each unit's factor per window qubit: a member's stack row, P1 =
-            # diag(0, 1) on a control, else the identity; and the diagonal
-            # ``ones`` that puts the identity on rows whose control bit is 0.
-            s = np.arange(len(members))[:, None]
-            fac = np.full((len(members), U, w), eye)
-            fac[s, unit, c] = eye + 1
-            fac[s, unit, t] = stack_row[members]
-            ctrl = np.zeros((len(members), U), dtype=int)
-            ctrl[s, unit] = np.where(c == t, 0, 1 << c)
-            ones = ((ctrl[..., None] & ~np.arange(1 << w)) != 0).astype(float)
-            self.segments[K, U, w] = (members, los, unit, cols, gens, fac, ones)
+            # Per member and row: the target bit, the columns with it 0 | 1,
+            # and whether the member acts on the row (its control bit is 1).
+            S, d, M, s = len(members), 1 << w, slot.max() + 1, np.arange(len(members))[:, None]
+            a, tt, cm = np.arange(d), t[..., None], np.where(c == t, 0, 1 << c)
+            cols = np.stack([a & ~(1 << tt), a | 1 << tt], axis=-1)
+            active = (a & cm[..., None]) == cm[..., None]
+            gens = np.where(active[..., None], self.gens[members[..., None], a >> tt & 1], 0)
+            # A unit's M slots hold its members' stack rows and targets, padded
+            # with the identity. W_u, the outer product of their flat 2x2
+            # matrices, holds slot j's entry (a, b) at bits 2j + 1 and 2j, and
+            # fills V_u at every (a, b) that agree outside the targets, on the
+            # rows whose control bit is 1 (``dest``, from ``src``).
+            fac, q, ctrl = np.full((S, U, M), eye), np.full((S, U, 1, M), -1), np.zeros((S, U, 1, 1), int)
+            fac[s, unit, slot], q[s, unit, 0, slot], ctrl[s, unit, 0, 0] = stack_row[members], t, cm
+            on, q, a = (q >= 0).astype(int), np.maximum(q, 0), a[:, None]
+            bits = np.sum((a >> q & 1) * on << 2 * np.arange(M), axis=-1)  # [S, U, d]: each row's slot bits
+            keep = ((a & ctrl) == ctrl) & ((a ^ a.T) & ~np.sum(on << q, axis=-1, keepdims=True) == 0)
+            su = np.arange(S * U).reshape(S, U, 1, 1) << 2 * M
+            src = (su | bits[..., None] << 1 | bits[:, :, None])[keep]
+            self.segments[K, U, w] = (members, los, unit, cols, gens, fac, src, np.flatnonzero(keep))
         self.groups = self._groups(range(len(self.blocks)))
         self.pure_groups = self._groups(solo)
 
@@ -824,14 +823,15 @@ class Program:
         """Each dense segment's prefixes P_u = V_u ... V_1 from the shared
         ``stacks``, built together for the segments of one shape."""
         built = {}
-        shared = np.concatenate([stacks[c] for c in ((1, False), (2, False)) if c in stacks] + [[_I, _P1]])
-        for (K, U, w), (members, los, unit, cols, gens, fac, ones) in self.segments.items():
-            f = shared[fac]  # [S, U, w, 2, 2]
-            prefix = f[:, :, 0]
-            for q in range(1, w):  # the next qubit's factor is the high one
-                p = f[:, :, q, :, None, :, None] * prefix[..., None, :, None, :]
-                prefix = p.reshape(p.shape[:2] + (2 * prefix.shape[-1],) * 2)
-            np.einsum("...ii->...i", prefix)[...] += ones
+        shared = np.concatenate([stacks[c] for c in ((1, False), (2, False)) if c in stacks] + [_I[None]])
+        for (K, U, w), (members, los, unit, cols, gens, fac, src, dest) in self.segments.items():
+            f = shared.reshape(-1, 4)[fac]  # [S, U, M, 4]
+            kron = f[:, :, 0]
+            for j in range(1, fac.shape[-1]):
+                kron = (f[:, :, j, :, None] * kron[:, :, None]).reshape(*fac.shape[:2], -1)
+            prefix = np.zeros(fac.shape[:2] + (1 << w,) * 2, dtype=complex)
+            np.einsum("...ii->...i", prefix)[...] = 1
+            prefix.reshape(-1)[dest] = kron.reshape(-1)[src]
             for u in range(1, U):
                 prefix[:, u] = prefix[:, u] @ prefix[:, u - 1]
             for n, seg in enumerate(members):
