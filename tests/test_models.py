@@ -630,6 +630,15 @@ class TestDenseSegments:
         assert seg.prefix.shape[0] == 5 * (2 + n)
         assert np.bincount(seg.unit).tolist() == [n, n, *[1] * n] * 5
 
+    def test_wide_window_units_build_on_their_gates_qubits_alone(self):
+        # The 9-qubit angle QMLP's four 5-qubit windows hold one CRX per
+        # unit: each unit's product has one slot, the CRX's 2x2 matrix, and
+        # fills 2 entries in each of the window's 16 control-1 rows.
+        m = make_qmlp(layers=2, n=9, n_classes=4)
+        ((members, _, _, _, _, fac, src, dest),) = models._compiled(m.config, 9).segments.values()
+        assert members.shape == fac.shape[:2] == (4, 4) and fac.shape[2] == 1
+        assert src.size == dest.size == 4 * 4 * 16 * 2
+
 
 class TestCompiledProgram:
     """A quantum model's circuit is compiled once per (config, feature count)
